@@ -13,12 +13,11 @@ acts on boundary indices from the left.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .groups import FiniteGroup, parse_group_file
+from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file
 from .obstruction import ObstructionWitness, decompose
 from .rational import RationalAngle, ZERO_ANGLE, parse_fraction
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
@@ -78,15 +77,9 @@ class ExtendedActionData:
         if n < 1:
             raise ActionDataError("at least one boundary component is required")
         for pair in self.pairs:
-            if pair.q < 1 or math.gcd(pair.q, abs(pair.p)) != 1:
-                raise ActionDataError(f"invalid Seifert pair {pair}")
-        for name, seq in (
-            ("alpha", self.alpha),
-            ("theta1", self.theta1),
-            ("beta", self.beta),
-            ("theta2", self.theta2),
-        ):
-            if len(seq) != order:
+            seifert.require_pair(pair, ActionDataError)
+        for name in ("alpha", "theta1", "beta", "theta2"):
+            if len(seq := getattr(self, name)) != order:
                 raise ActionDataError(
                     f"{name} has {len(seq)} entries, expected one per element ({order})"
                 )
@@ -94,10 +87,8 @@ class ExtendedActionData:
             if value not in (-1, 1):
                 raise ActionDataError(f"alpha[{g}]={value} must be +1 or -1")
         for g, perm in enumerate(self.beta):
-            if sorted(perm) != list(range(n)):
-                raise ActionDataError(
-                    f"beta[{g}]={perm} is not a permutation of 0..{n - 1}"
-                )
+            if problem := _beta_problem(perm, n):
+                raise ActionDataError(f"{problem}, got beta[{g}]={perm}")
         for g, row in enumerate(self.theta2):
             if len(row) != n:
                 raise ActionDataError(
@@ -107,6 +98,13 @@ class ExtendedActionData:
     @property
     def n_boundary(self) -> int:
         return len(self.pairs)
+
+
+def _beta_problem(images: tuple[int, ...], n: int, first: int = 0) -> str | None:
+    """The permutation rule for beta, on the indices first..first+n-1."""
+    if sorted(images) != list(range(first, first + n)):
+        return f"beta must be a permutation of {first}..{first + n - 1}"
+    return None
 
 
 def verify_action(data: ExtendedActionData) -> list[str]:
@@ -283,6 +281,45 @@ def _parse_angle(text: str, where: str) -> RationalAngle:
         raise ActionFormatError(f"{where}: bad angle {text!r}") from None
 
 
+def _parse_element(where: str, text: str, n: int) -> tuple:
+    """(alpha, theta1, beta, theta2) from the `name=value` fields of one
+    element line; a name may appear once."""
+    fields: dict[str, str] = {}
+    for tok in text.split():
+        name, sep, value = tok.partition("=")
+        if not sep:
+            raise ActionFormatError(f"{where}: expected name=value, got {tok!r}")
+        if name in fields:
+            raise ActionFormatError(f"{where}: repeated field {name!r}")
+        fields[name] = value
+    missing = {"alpha", "theta1", "beta", "theta2"} - fields.keys()
+    if missing:
+        raise ActionFormatError(f"{where}: missing fields {sorted(missing)}")
+    if fields["alpha"] not in ("+1", "-1", "1"):
+        raise ActionFormatError(f"{where}: alpha must be +1 or -1")
+    theta1 = _parse_angle(fields["theta1"], where)
+    perm_text = fields["beta"]
+    if not (perm_text.startswith("(") and perm_text.endswith(")")):
+        raise ActionFormatError(f"{where}: beta must be parenthesized")
+    try:
+        images = tuple(int(tok) for tok in perm_text[1:-1].split(","))
+    except ValueError:
+        raise ActionFormatError(f"{where}: bad beta {perm_text!r}") from None
+    if problem := _beta_problem(images, n, first=1):
+        raise ActionFormatError(f"{where}: {problem}")
+    angle_toks = fields["theta2"].split(",")
+    if len(angle_toks) != n:
+        raise ActionFormatError(
+            f"{where}: theta2 needs {n} angles, got {len(angle_toks)}"
+        )
+    return (
+        1 if fields["alpha"] in ("+1", "1") else -1,
+        theta1,
+        tuple(i - 1 for i in images),
+        tuple(_parse_angle(tok, where) for tok in angle_toks),
+    )
+
+
 def parse_action_text(
     text: str, base_dir: str | Path = ".", source: str = "<string>"
 ) -> ExtendedActionData:
@@ -294,78 +331,46 @@ def parse_action_text(
         g: alpha=+1 theta1=1/3 beta=(2,3,1) theta2=0,0,1/2
 
     beta is in one-line notation on the 1-based boundary indices 1..n.
+    Element indices are ASCII digits; no key, element or field may repeat.
     """
     group = None
     pairs = None
     element_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ActionFormatError(f"{source}:{lineno}: expected 'key: value'")
-        key = key.strip()
-        rest = rest.strip()
+    for where, key, value in keyed_lines(text, source, ActionFormatError):
+        if key is None:
+            raise ActionFormatError(f"{where}: expected 'key: value'")
         if key == "group":
-            group = parse_group_file(Path(base_dir) / rest)
+            try:
+                group = parse_group_file(Path(base_dir) / value)
+            except GroupTableError as exc:
+                raise ActionFormatError(f"{where}: {exc}") from None
         elif key == "pairs":
             try:
-                pairs = tuple(parse_pair(tok) for tok in rest.split())
+                pairs = tuple(parse_pair(tok) for tok in value.split())
             except seifert.PresentationError as exc:
-                raise ActionFormatError(f"{source}:{lineno}: {exc}") from None
-        elif key.isdigit():
-            element_lines[int(key)] = (lineno, rest)
+                raise ActionFormatError(f"{where}: {exc}") from None
+            if problems := seifert.pair_problems(pairs):
+                raise ActionFormatError(f"{where}: {problems[0]}")
+        elif key.isascii() and key.isdigit():
+            if int(key) in element_lines:
+                raise ActionFormatError(f"{where}: repeated element {int(key)}")
+            element_lines[int(key)] = (where, value)
         else:
-            raise ActionFormatError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ActionFormatError(f"{where}: unknown key {key!r}")
     if group is None:
         raise ActionFormatError(f"{source}: missing 'group:' line")
     if pairs is None or not pairs:
         raise ActionFormatError(f"{source}: missing or empty 'pairs:' line")
-    n = len(pairs)
-    alpha, theta1, beta, theta2 = [], [], [], []
+    rows = []
     for g in range(group.order):
         if g not in element_lines:
             raise ActionFormatError(f"{source}: missing line for element {g}")
-        lineno, rest = element_lines[g]
-        where = f"{source}:{lineno}"
-        fields = {}
-        for tok in rest.split():
-            name, sep, value = tok.partition("=")
-            if not sep:
-                raise ActionFormatError(f"{where}: expected name=value, got {tok!r}")
-            fields[name] = value
-        missing = {"alpha", "theta1", "beta", "theta2"} - fields.keys()
-        if missing:
-            raise ActionFormatError(f"{where}: missing fields {sorted(missing)}")
-        if fields["alpha"] not in ("+1", "-1", "1"):
-            raise ActionFormatError(f"{where}: alpha must be +1 or -1")
-        alpha.append(1 if fields["alpha"] in ("+1", "1") else -1)
-        theta1.append(_parse_angle(fields["theta1"], where))
-        perm_text = fields["beta"]
-        if not (perm_text.startswith("(") and perm_text.endswith(")")):
-            raise ActionFormatError(f"{where}: beta must be parenthesized")
-        try:
-            images = tuple(int(tok) - 1 for tok in perm_text[1:-1].split(","))
-        except ValueError:
-            raise ActionFormatError(f"{where}: bad beta {perm_text!r}") from None
-        if sorted(images) != list(range(n)):
-            raise ActionFormatError(
-                f"{where}: beta must be a permutation of 1..{n}"
-            )
-        beta.append(images)
-        angle_toks = fields["theta2"].split(",")
-        if len(angle_toks) != n:
-            raise ActionFormatError(
-                f"{where}: theta2 needs {n} angles, got {len(angle_toks)}"
-            )
-        theta2.append(tuple(_parse_angle(tok, where) for tok in angle_toks))
+        rows.append(_parse_element(*element_lines[g], len(pairs)))
     extra = set(element_lines) - set(range(group.order))
     if extra:
         raise ActionFormatError(f"{source}: element indices out of range: {sorted(extra)}")
-    return ExtendedActionData(
-        group, pairs, tuple(alpha), tuple(theta1), tuple(beta), tuple(theta2)
-    )
+    alpha, theta1, beta, theta2 = zip(*rows)
+    return ExtendedActionData(group, pairs, alpha, theta1, beta, theta2)
 
 
 def parse_action_file(path: str | Path) -> ExtendedActionData:

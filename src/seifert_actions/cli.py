@@ -9,6 +9,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -55,15 +56,16 @@ def _load_verified_action(path: str) -> action_mod.ExtendedActionData:
     return data
 
 
+def _decide(positive: bool, yes: str, no: str) -> int:
+    """Print `yes` or `no` as the answer: exit 0 for yes, 3 for no."""
+    print(yes if positive else no)
+    return EXIT_OK if positive else EXIT_NEGATIVE
+
+
 def _cmd_validate(args) -> int:
     pres = seifert.parse_presentation(args.presentation)
     problems = seifert.validate(pres)
-    if problems:
-        for problem in problems:
-            print(problem)
-        return EXIT_NEGATIVE
-    print("ok")
-    return EXIT_OK
+    return _decide(not problems, "ok", "\n".join(problems))
 
 
 def _cmd_normalize(args) -> int:
@@ -75,11 +77,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_equiv(args) -> int:
     a = seifert.parse_presentation(args.presentation_a)
     b = seifert.parse_presentation(args.presentation_b)
-    if seifert.equivalent(a, b):
-        print("equivalent")
-        return EXIT_OK
-    print("not equivalent")
-    return EXIT_NEGATIVE
+    return _decide(seifert.equivalent(a, b), "equivalent", "not equivalent")
 
 
 def _cmd_euler(args) -> int:
@@ -116,11 +114,8 @@ def _cmd_check_obstruction(args) -> int:
     orb = orbifold_mod.parse_orbifold(args.orbifold)
     divisor = obstruction_mod.obstruction_divisor(args.order, orb)
     print(f"divisor: {divisor}")
-    if obstruction_mod.satisfies_obstruction_divisibility(args.b, args.order, orb):
-        print("satisfied")
-        return EXIT_OK
-    print("not satisfied")
-    return EXIT_NEGATIVE
+    satisfied = obstruction_mod.satisfies_obstruction_divisibility(args.b, args.order, orb)
+    return _decide(satisfied, "satisfied", "not satisfied")
 
 
 def _cmd_decompose(args) -> int:
@@ -147,44 +142,21 @@ def _cmd_rewrite(args) -> int:
 def _cmd_verify_action(args) -> int:
     data = action_mod.parse_action_file(args.action_file)
     problems = action_mod.verify_action(data)
-    if problems:
-        for problem in problems:
-            print(problem)
-        return EXIT_NEGATIVE
-    print("ok")
-    return EXIT_OK
+    return _decide(not problems, "ok", "\n".join(problems))
 
 
-def _boundary_index(args, data) -> int:
-    i = args.index - 1
-    if not 0 <= i < data.n_boundary:
-        raise ValueError(f"boundary index {args.index} out of range 1..{data.n_boundary}")
-    return i
-
-
-def _element_index(args, data) -> int:
+def _cmd_torus_map(query: str, args) -> int:
+    """boundary-action and filling-action: the library query `query` for
+    one element on one boundary torus of a verified action."""
+    data = _load_verified_action(args.action_file)
     if not 0 <= args.element < data.group.order:
         raise ValueError(
             f"element {args.element} out of range 0..{data.group.order - 1}"
         )
-    return args.element
-
-
-def _cmd_boundary_action(args) -> int:
-    data = _load_verified_action(args.action_file)
-    target, auto = action_mod.boundary_action(
-        data, _element_index(args, data), _boundary_index(args, data)
-    )
-    print(f"target: {target + 1}")
-    print(f"map: {auto}")
-    return EXIT_OK
-
-
-def _cmd_filling_action(args) -> int:
-    data = _load_verified_action(args.action_file)
-    target, auto = action_mod.induced_filling_action(
-        data, _element_index(args, data), _boundary_index(args, data)
-    )
+    if not 1 <= args.index <= data.n_boundary:
+        raise ValueError(f"boundary index {args.index} out of range 1..{data.n_boundary}")
+    # looked up per call, so that wrappers installed on the module are seen
+    target, auto = getattr(action_mod, query)(data, args.element, args.index - 1)
     print(f"target: {target + 1}")
     print(f"map: {auto}")
     return EXIT_OK
@@ -205,6 +177,53 @@ def _cmd_structure(args) -> int:
     return EXIT_OK
 
 
+# An argument is a positional name, or (flag, add_argument keywords).
+_ORDER = ("--order", {"type": int, "required": True, "help": "effective group order"})
+_ELEMENT = ("--element", {"type": int, "required": True, "help": "element index"})
+_INDEX = ("--index", {"type": int, "required": True, "help": "boundary index (1-based)"})
+
+# (verb, handler, help, arguments), in the order `--help` lists them.
+VERBS = [
+    ("validate", _cmd_validate, "check presentation invariants", ["presentation"]),
+    ("normalize", _cmd_normalize, "canonical form of a presentation", ["presentation"]),
+    ("equiv", _cmd_equiv, "fiber-preserving equivalence of presentations",
+     ["presentation_a", "presentation_b"]),
+    ("euler", _cmd_euler, "Euler number of a presentation", ["presentation"]),
+    ("glue-pair", _cmd_glue_pair, "gluing exponents of a filling pair",
+     [("pair", {"help": "a pair written (q,p)"})]),
+    ("orbifold-chi", _cmd_orbifold_chi, "orbifold Euler characteristic", [
+        ("orbifold", {"help": "genus:g cone:(...) corner:(...)"}),
+        ("--sign", {"action": "store_true", "help": "also print the geometry sign"}),
+    ]),
+    ("orbit-numbers", _cmd_orbit_numbers, "possible orbit sizes over a quotient",
+     ["orbifold", _ORDER]),
+    ("check-obstruction", _cmd_check_obstruction, "divisibility form of the condition", [
+        "orbifold",
+        ("--b", {"type": int, "required": True, "help": "obstruction class"}),
+        _ORDER,
+    ]),
+    ("decompose", _cmd_decompose, "witness b as a combination of orbit sizes", [
+        ("--b", {"type": int, "required": True}),
+        ("--orbits", {"required": True, "help": "comma-separated orbit sizes"}),
+    ]),
+    ("rewrite", _cmd_rewrite, "spread the class b over fiber slots", [
+        "presentation",
+        ("--h", {"required": True, "help": "comma-separated slot values"}),
+        ("--partition", {
+            "help": "orbit classes of slots, e.g. '1,2;3' (1-based, ';'-separated)",
+        }),
+    ]),
+    ("verify-action", _cmd_verify_action, "check the action compatibility laws",
+     ["action_file"]),
+    ("boundary-action", functools.partial(_cmd_torus_map, "boundary_action"),
+     "action on a boundary torus", ["action_file", _ELEMENT, _INDEX]),
+    ("filling-action", functools.partial(_cmd_torus_map, "induced_filling_action"),
+     "induced action on a filled torus", ["action_file", _ELEMENT, _INDEX]),
+    ("orbits", _cmd_orbits, "boundary orbit numbers of an action", ["action_file"]),
+    ("structure", _cmd_structure, "group-structure report of an action", ["action_file"]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seifert-actions",
@@ -217,82 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"seifert-actions {__version__}"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="check presentation invariants")
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("normalize", help="canonical form of a presentation")
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("equiv", help="fiber-preserving equivalence of presentations")
-    p.add_argument("presentation_a")
-    p.add_argument("presentation_b")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("euler", help="Euler number of a presentation")
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("glue-pair", help="gluing exponents of a filling pair")
-    p.add_argument("pair", help="a pair written (q,p)")
-    p.set_defaults(func=_cmd_glue_pair)
-
-    p = sub.add_parser("orbifold-chi", help="orbifold Euler characteristic")
-    p.add_argument("orbifold", help="genus:g cone:(...) corner:(...)")
-    p.add_argument("--sign", action="store_true", help="also print the geometry sign")
-    p.set_defaults(func=_cmd_orbifold_chi)
-
-    p = sub.add_parser("orbit-numbers", help="possible orbit sizes over a quotient")
-    p.add_argument("orbifold")
-    p.add_argument("--order", type=int, required=True, help="effective group order")
-    p.set_defaults(func=_cmd_orbit_numbers)
-
-    p = sub.add_parser("check-obstruction", help="divisibility form of the condition")
-    p.add_argument("orbifold")
-    p.add_argument("--b", type=int, required=True, help="obstruction class")
-    p.add_argument("--order", type=int, required=True, help="effective group order")
-    p.set_defaults(func=_cmd_check_obstruction)
-
-    p = sub.add_parser("decompose", help="witness b as a combination of orbit sizes")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--orbits", required=True, help="comma-separated orbit sizes")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("rewrite", help="spread the class b over fiber slots")
-    p.add_argument("presentation")
-    p.add_argument("--h", required=True, help="comma-separated slot values")
-    p.add_argument(
-        "--partition",
-        help="orbit classes of slots, e.g. '1,2;3' (1-based, ';'-separated)",
-    )
-    p.set_defaults(func=_cmd_rewrite)
-
-    p = sub.add_parser("verify-action", help="check the action compatibility laws")
-    p.add_argument("action_file")
-    p.set_defaults(func=_cmd_verify_action)
-
-    p = sub.add_parser("boundary-action", help="action on a boundary torus")
-    p.add_argument("action_file")
-    p.add_argument("--element", type=int, required=True, help="element index")
-    p.add_argument("--index", type=int, required=True, help="boundary index (1-based)")
-    p.set_defaults(func=_cmd_boundary_action)
-
-    p = sub.add_parser("filling-action", help="induced action on a filled torus")
-    p.add_argument("action_file")
-    p.add_argument("--element", type=int, required=True, help="element index")
-    p.add_argument("--index", type=int, required=True, help="boundary index (1-based)")
-    p.set_defaults(func=_cmd_filling_action)
-
-    p = sub.add_parser("orbits", help="boundary orbit numbers of an action")
-    p.add_argument("action_file")
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("structure", help="group-structure report of an action")
-    p.add_argument("action_file")
-    p.set_defaults(func=_cmd_structure)
-
+    for verb, handler, help_text, arguments in VERBS:
+        p = sub.add_parser(verb, help=help_text)
+        for argument in arguments:
+            name, keywords = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 

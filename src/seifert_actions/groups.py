@@ -98,10 +98,7 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
                         f"associativity fails at ({a},{b},{c}): "
                         f"({a}*{b})*{c}={row_ab[c]} but {a}*({b}*{c})={row_a[row_b[c]]}"
                     )
-    group = FiniteGroup(tuple(tuple(row) for row in table), identity)
-    for a in range(n):
-        group.inv(a)
-    return group
+    return FiniteGroup(tuple(tuple(row) for row in table), identity)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -206,31 +203,54 @@ def left_cosets(group: FiniteGroup, subgroup: list[int]) -> list[frozenset[int]]
     return cosets
 
 
+def keyed_lines(text: str, source: str, error: type[ValueError]):
+    """The line format shared by group and action files.
+
+    Yields (where, key, value) for each line that is neither blank nor a
+    `#` comment, where `where` is `source:lineno`.  A `key: value` line
+    gives its stripped key and value; a line without ':' gives key None and
+    the whole stripped line.  A key already seen on an earlier line raises
+    `error`.
+    """
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{source}:{lineno}"
+        key, sep, value = line.partition(":")
+        if not sep:
+            yield where, None, line
+            continue
+        key = key.strip()
+        if key in seen:
+            raise error(f"{where}: repeated key {key!r} (first on line {seen[key]})")
+        seen[key] = lineno
+        yield where, key, value.strip()
+
+
 def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
     """Parse the group file format: `order: N` then N rows of N indices.
 
     The identity must be element 0.
     """
-    lines = text.splitlines()
     header = None
     rows: list[list[int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, key, value in keyed_lines(text, source, GroupTableError):
         if header is None:
-            m = line.split(":")
-            if len(m) != 2 or m[0].strip() != "order":
-                raise GroupTableError(f"{source}:{lineno}: expected 'order: N'")
+            if key != "order":
+                raise GroupTableError(f"{where}: expected 'order: N'")
             try:
-                header = int(m[1])
+                header = int(value)
             except ValueError:
-                raise GroupTableError(f"{source}:{lineno}: bad order {m[1]!r}") from None
+                raise GroupTableError(f"{where}: bad order {value!r}") from None
             continue
+        if key is not None:
+            raise GroupTableError(f"{where}: expected a table row, got key {key!r}")
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append([int(tok) for tok in value.split()])
         except ValueError:
-            raise GroupTableError(f"{source}:{lineno}: bad table row {line!r}") from None
+            raise GroupTableError(f"{where}: bad table row {value!r}") from None
     if header is None:
         raise GroupTableError(f"{source}: missing 'order:' header")
     if len(rows) != header:

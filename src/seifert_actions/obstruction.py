@@ -113,7 +113,8 @@ def decompose(b: int, orbit_numbers: list[int]) -> ObstructionWitness | None:
         coefficients.append(c)
         remaining -= c * o
     witness = ObstructionWitness(tuple(orbit_numbers), tuple(coefficients))
-    assert witness.total() == b
+    if witness.total() != b:
+        raise ArithmeticError(f"witness {coefficients} sums to {witness.total()}, not {b}")
     return witness
 
 

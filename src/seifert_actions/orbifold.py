@@ -53,7 +53,7 @@ def euler_characteristic(orb: OrbifoldData) -> Fraction:
     """
     if orb.with_boundary:
         raise QuotientDataError(
-            "Euler characteristic unsupported for orbifolds with boundary"
+            f"Euler characteristic unsupported for orbifolds with boundary: {orb}"
         )
     chi = Fraction(2 - 2 * orb.genus)
     for n in orb.cone_orders:
@@ -109,7 +109,10 @@ def _parse_order_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise QuotientDataError(f"bad order list: {text!r}") from None
 
 
 def parse_orbifold(text: str) -> OrbifoldData:

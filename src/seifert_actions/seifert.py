@@ -32,9 +32,11 @@ __all__ = [
     "gluing_pair",
     "induced_fibration",
     "normalize",
+    "pair_problems",
     "parse_pair",
     "parse_presentation",
     "permute",
+    "require_pair",
     "require_valid",
     "shift",
     "validate",
@@ -53,8 +55,8 @@ class MoveError(ValueError):
 class SeifertPair:
     """One filling pair (q, p); q = 1 marks a regular fiber.
 
-    Validity (q >= 1 and gcd(q, |p|) = 1) is checked by `validate`, not at
-    construction, so that violation reports can be produced for raw input.
+    Validity (q >= 1 and gcd(q, |p|) = 1) is checked by `pair_problems`, not
+    at construction, so that violation reports can be produced for raw input.
     """
 
     q: int
@@ -92,18 +94,30 @@ class NormalizedPresentation:
         return format_normalized(self)
 
 
+def pair_problems(pairs) -> list[str]:
+    """The Seifert-pair rule, q >= 1 and gcd(q, |p|) = 1: one message per
+    violating pair, numbered from 1 (empty = ok)."""
+    problems = []
+    for idx, pair in enumerate(pairs, start=1):
+        if pair.q < 1:
+            problems.append(f"pair {idx}: q must be >= 1, got {pair.q}")
+        elif (g := math.gcd(pair.q, abs(pair.p))) != 1:
+            problems.append(f"pair {idx}: {pair} not coprime (gcd={g})")
+    return problems
+
+
+def require_pair(pair: SeifertPair, error: type[ValueError] = PresentationError) -> None:
+    """Raise `error` unless `pair` obeys the rule of `pair_problems`."""
+    if pair_problems((pair,)):
+        raise error(f"invalid Seifert pair {pair}")
+
+
 def validate(pres: SeifertPresentation) -> list[str]:
     """Report every violation of the presentation invariants (empty = ok)."""
     problems = []
     if pres.genus < 0:
         problems.append(f"genus must be nonnegative, got {pres.genus}")
-    for idx, pair in enumerate(pres.pairs, start=1):
-        if pair.q < 1:
-            problems.append(f"pair {idx}: q must be >= 1, got {pair.q}")
-        elif math.gcd(pair.q, abs(pair.p)) != 1:
-            g = math.gcd(pair.q, abs(pair.p))
-            problems.append(f"pair {idx}: ({pair.q},{pair.p}) not coprime (gcd={g})")
-    return problems
+    return problems + pair_problems(pres.pairs)
 
 
 def require_valid(pres: SeifertPresentation) -> None:
@@ -217,9 +231,8 @@ class GluingPair:
 
 
 def gluing_pair(pair: SeifertPair) -> GluingPair:
+    require_pair(pair)
     q, p = pair.q, pair.p
-    if q < 1 or math.gcd(q, abs(p)) != 1:
-        raise PresentationError(f"invalid Seifert pair {pair}")
     y = pow(p, -1, q) if q > 1 else 0
     x = (y * p - 1) // q
     return GluingPair(x, y, pair)

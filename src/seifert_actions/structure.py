@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .action import ExtendedActionData
+from .action import ActionDataError, ExtendedActionData
 from .groups import is_subgroup
 
 __all__ = [
@@ -43,7 +43,8 @@ class StructureReport:
 def fop_subgroup(data: ExtendedActionData) -> list[int]:
     """Elements preserving the orientation of the fibers (alpha = +1)."""
     members = [g for g in data.group.elements() if data.alpha[g] == 1]
-    assert is_subgroup(data.group, members)
+    if not is_subgroup(data.group, members):
+        raise ActionDataError("alpha is not a homomorphism: its kernel is not a subgroup")
     return members
 
 

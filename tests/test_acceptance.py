@@ -271,3 +271,13 @@ def test_criterion_10_core_is_float_free():
                     f"{path.name}:{node.lineno}: use of float()"
                 )
     _report(10, f"no floating point in any of {len(sources)} core modules")
+
+
+def test_core_has_no_runtime_assert():
+    # `python -O` strips assert statements, so invariants must raise explicitly
+    package_dir = Path(seifert_actions.__file__).parent
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                raise AssertionError(f"{path.name}:{node.lineno}: assert statement")

@@ -334,3 +334,31 @@ def test_action_parse_errors_cite_lines(tmp_path):
 
     with pytest.raises(ActionFormatError, match="pairs"):
         parse_action_text("group: g.txt\n0: alpha=+1\n", base_dir=tmp_path)
+
+    bad = text.replace("theta1=1/5", "theta1=1/7 theta1=1/5")
+    with pytest.raises(ActionFormatError, match=":4: repeated field 'theta1'"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text + "1: alpha=-1 theta1=1/5 beta=(1) theta2=0\n"
+    with pytest.raises(ActionFormatError, match=":5: repeated key '1'"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text + "01: alpha=-1 theta1=1/5 beta=(1) theta2=0\n"
+    with pytest.raises(ActionFormatError, match=":5: repeated element 1"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text.replace("pairs: (3,2)\n", "pairs: (3,2)\ngroup: g.txt\n")
+    with pytest.raises(ActionFormatError, match=":3: repeated key 'group'"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text + "pairs: (5,2)\n"
+    with pytest.raises(ActionFormatError, match=":5: repeated key 'pairs'"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text + "\u00b2: alpha=+1 theta1=0 beta=(1) theta2=0\n"
+    with pytest.raises(ActionFormatError, match=":5: unknown key '\u00b2'"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    bad = text.replace("pairs: (3,2)", "pairs: (4,2)")
+    with pytest.raises(ActionFormatError, match=r":2: pair 1: \(4,2\) not coprime \(gcd=2\)"):
+        parse_action_text(bad, base_dir=tmp_path)

@@ -83,6 +83,7 @@ def test_orbifold_chi(capsys):
     assert out == "-1\nhyperbolic\n"
     code, _, err = run(capsys, "orbifold-chi", "genus:0 cone:(2) corner:(2)")
     assert code == 2 and "boundary" in err
+    assert "genus:0 cone:(2) corner:(2)" in err
 
 
 def test_orbit_numbers(capsys):
@@ -95,6 +96,10 @@ def test_orbit_numbers(capsys):
         capsys, "orbit-numbers", "--order", "9", "genus:0 cone:(2) corner:()"
     )
     assert code == 2
+    code, _, err = run(
+        capsys, "orbit-numbers", "--order", "12", "genus:0 cone:(2,,3) corner:()"
+    )
+    assert code == 2 and err == "error: bad order list: '2,,3'\n"
 
 
 def test_check_obstruction(capsys):
@@ -205,6 +210,31 @@ def test_rejects_invalid_action_for_evaluation(capsys, tmp_path):
     (tmp_path / "action.txt").write_text(bad, encoding="utf-8")
     code, _, err = run(capsys, "structure", path)
     assert code == 2 and "not a valid action" in err
+
+
+def test_non_coprime_pairs_cite_the_pairs_line(capsys, tmp_path):
+    path = write_action(tmp_path, rotation_z3())
+    text = (tmp_path / "action.txt").read_text(encoding="utf-8")
+    (tmp_path / "action.txt").write_text(
+        text.replace("pairs: (2,1) (2,1) (2,1)", "pairs: (2,1) (4,2) (2,1)"),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "verify-action", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:2: pair 2: (4,2) not coprime (gcd=2)\n"
+
+
+def test_group_file_errors_cite_the_group_line(capsys, tmp_path):
+    path = write_action(tmp_path, dihedral_d3_action())
+    group_file = tmp_path / "action_group.txt"
+    rows = group_file.read_text(encoding="utf-8").splitlines()
+    first, second, *rest = rows[2].split()
+    rows[2] = " ".join([second, first, *rest])
+    group_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "structure", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:1: ")
+    assert err.endswith("is not a permutation (table not Latin)\n")
 
 
 def test_missing_file(capsys):

@@ -129,3 +129,7 @@ def test_parse_group_text_errors():
     # identity must be element 0
     with pytest.raises(GroupTableError, match="identity"):
         parse_group_text("order: 2\n1 0\n0 1\n")
+    with pytest.raises(GroupTableError, match=":3: repeated key 'order'"):
+        parse_group_text("order: 1\n# comment\norder: 1\n0\n")
+    with pytest.raises(GroupTableError, match=":3: expected a table row"):
+        parse_group_text("order: 2\n0 1\n1: 0\n")

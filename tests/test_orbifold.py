@@ -27,6 +27,8 @@ def test_euler_characteristic_rejects_boundary():
         euler_characteristic(OrbifoldData(0, (), (2,), with_boundary=True))
     with pytest.raises(QuotientDataError):
         euler_characteristic(OrbifoldData(1, with_boundary=True))
+    with pytest.raises(QuotientDataError, match=r"genus:0 cone:\(2\) corner:\(3\)"):
+        euler_characteristic(parse_orbifold("genus:0 cone:(2) corner:(3)"))
 
 
 def test_geometry_sign():
@@ -105,3 +107,7 @@ def test_parse_and_format():
         parse_orbifold("genus:0 cone:(2)")
     with pytest.raises(QuotientDataError):
         parse_orbifold("cone:(2) corner:() genus:0")
+    for text, bad in [("genus:0 cone:(2,,3) corner:()", "'2,,3'"),
+                      ("genus:0 cone:() corner:(2,)", "'2,'")]:
+        with pytest.raises(QuotientDataError, match=f"bad order list: {bad}"):
+            parse_orbifold(text)

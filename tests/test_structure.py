@@ -1,7 +1,10 @@
+import pytest
+
 from helpers import (
     dihedral_d3_action,
     dihedral_d4_action,
     klein_action,
+    make_action,
     quaternion_action,
     reflection_z2,
     rotation_z3,
@@ -9,7 +12,10 @@ from helpers import (
     standard_fixtures,
     trivial_action,
 )
+from seifert_actions.action import ActionDataError
 from seifert_actions.groups import cyclic_group, is_subgroup
+from seifert_actions.rational import ZERO_ANGLE
+from seifert_actions.seifert import SeifertPair
 from seifert_actions.structure import (
     DIRECT_LIKE,
     NO_SPLITTING,
@@ -20,6 +26,16 @@ from seifert_actions.structure import (
     rotation_order,
     structure_report,
 )
+
+
+def test_fop_subgroup_rejects_non_homomorphic_alpha():
+    # alpha = (+1, -1, +1) on Z3: {0, 2} is not closed, as 2 + 2 = 1
+    data = make_action(
+        cyclic_group(3), (SeifertPair(2, 1),), (1, -1, 1),
+        (ZERO_ANGLE,) * 3, ((0,),) * 3, ((ZERO_ANGLE,),) * 3,
+    )
+    with pytest.raises(ActionDataError, match="not a subgroup"):
+        fop_subgroup(data)
 
 
 def test_fop_subgroup_examples():
