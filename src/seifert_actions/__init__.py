@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .rational import Fraction, RationalAngle, angle, ext_gcd, lcm_list
+from .rational import Fraction, RationalAngle, angle
 from .seifert import (
     NormalizedPresentation,
     SeifertPair,

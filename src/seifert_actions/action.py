@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file
 from .obstruction import ObstructionWitness, decompose
-from .rational import RationalAngle, ZERO_ANGLE, parse_fraction
+from .rational import RationalAngle, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
 from .torus import TorusAutomorphism
 from . import seifert
@@ -301,10 +301,9 @@ def _parse_element(where: str, text: str, n: int) -> tuple:
     perm_text = fields["beta"]
     if not (perm_text.startswith("(") and perm_text.endswith(")")):
         raise ActionFormatError(f"{where}: beta must be parenthesized")
-    try:
-        images = tuple(int(tok) for tok in perm_text[1:-1].split(","))
-    except ValueError:
-        raise ActionFormatError(f"{where}: bad beta {perm_text!r}") from None
+    images = parse_int_list(
+        perm_text[1:-1], ActionFormatError, f"{where}: bad beta {perm_text!r}"
+    )
     if problem := _beta_problem(images, n, first=1):
         raise ActionFormatError(f"{where}: {problem}")
     angle_toks = fields["theta2"].split(",")
@@ -331,7 +330,8 @@ def parse_action_text(
         g: alpha=+1 theta1=1/3 beta=(2,3,1) theta2=0,0,1/2
 
     beta is in one-line notation on the 1-based boundary indices 1..n.
-    Element indices are ASCII digits; no key, element or field may repeat.
+    Element indices and beta images are integer tokens (`rational.INT`); no
+    key, element or field may repeat.
     """
     group = None
     pairs = None
@@ -351,12 +351,14 @@ def parse_action_text(
                 raise ActionFormatError(f"{where}: {exc}") from None
             if problems := seifert.pair_problems(pairs):
                 raise ActionFormatError(f"{where}: {problems[0]}")
-        elif key.isascii() and key.isdigit():
-            if int(key) in element_lines:
-                raise ActionFormatError(f"{where}: repeated element {int(key)}")
-            element_lines[int(key)] = (where, value)
         else:
-            raise ActionFormatError(f"{where}: unknown key {key!r}")
+            try:
+                g = parse_int(key)
+            except ValueError:
+                raise ActionFormatError(f"{where}: unknown key {key!r}") from None
+            if g in element_lines:
+                raise ActionFormatError(f"{where}: repeated element {g}")
+            element_lines[g] = (where, value)
     if group is None:
         raise ActionFormatError(f"{source}: missing 'group:' line")
     if pairs is None or not pairs:

@@ -18,6 +18,7 @@ from . import obstruction as obstruction_mod
 from . import orbifold as orbifold_mod
 from . import seifert
 from . import structure as structure_mod
+from .rational import parse_int, parse_int_list
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -29,18 +30,14 @@ _INPUT_ERRORS = (
 )
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad {what} list: {text!r}") from None
-
-
 def _parse_partition(text: str) -> list[list[int]]:
-    """Classes separated by ';', 1-based slots separated by ','."""
+    """Classes separated by ';', 1-based slots separated by ','; no class
+    is empty."""
     classes = []
     for part in text.split(";"):
-        slots = _parse_int_list(part, "partition")
+        slots = parse_int_list(part, ValueError, f"bad partition list: {part!r}")
+        if not slots:
+            raise ValueError(f"bad partition list: {text!r}")
         classes.append([slot - 1 for slot in slots])
     return classes
 
@@ -119,7 +116,7 @@ def _cmd_check_obstruction(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    orbits = _parse_int_list(args.orbits, "orbit")
+    orbits = parse_int_list(args.orbits, ValueError, f"bad orbit list: {args.orbits!r}")
     witness = obstruction_mod.decompose(args.b, orbits)
     if witness is None:
         print("impossible")
@@ -131,7 +128,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_rewrite(args) -> int:
     pres = seifert.parse_presentation(args.presentation)
     norm = seifert.normalize(pres)
-    h = obstruction_mod.HFunction(tuple(_parse_int_list(args.h, "h")))
+    h = obstruction_mod.HFunction(
+        parse_int_list(args.h, ValueError, f"bad h list: {args.h!r}")
+    )
     partition = _parse_partition(args.partition) if args.partition else None
     print(seifert.format_presentation(
         obstruction_mod.rewrite_presentation(norm, h, partition)
@@ -238,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, handler, help_text, arguments in VERBS:
         p = sub.add_parser(verb, help=help_text)
+        # `type=int` arguments read the shared integer grammar; argparse
+        # still reports a bad one as "invalid int value"
+        p.register("type", int, parse_int)
         for argument in arguments:
             name, keywords = (argument, {}) if isinstance(argument, str) else argument
             p.add_argument(name, **keywords)

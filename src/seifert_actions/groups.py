@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .rational import parse_int, parse_int_list
+
 __all__ = [
     "FiniteGroup",
     "GroupTableError",
@@ -235,22 +237,20 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
     The identity must be element 0.
     """
     header = None
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for where, key, value in keyed_lines(text, source, GroupTableError):
         if header is None:
             if key != "order":
                 raise GroupTableError(f"{where}: expected 'order: N'")
             try:
-                header = int(value)
+                header = parse_int(value)
             except ValueError:
                 raise GroupTableError(f"{where}: bad order {value!r}") from None
             continue
         if key is not None:
             raise GroupTableError(f"{where}: expected a table row, got key {key!r}")
-        try:
-            rows.append([int(tok) for tok in value.split()])
-        except ValueError:
-            raise GroupTableError(f"{where}: bad table row {value!r}") from None
+        message = f"{where}: bad table row {value!r}"
+        rows.append(parse_int_list(value, GroupTableError, message, sep=None))
     if header is None:
         raise GroupTableError(f"{source}: missing 'order:' header")
     if len(rows) != header:

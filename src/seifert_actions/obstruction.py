@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .orbifold import OrbifoldData, possible_orbit_numbers
-from .rational import lcm_list
 from .seifert import NormalizedPresentation, SeifertPair, SeifertPresentation
 
 __all__ = [
@@ -64,7 +63,7 @@ def obstruction_divisor(group_order: int, quotient: OrbifoldData) -> int:
     orders = list(quotient.cone_orders) + [2 * m for m in quotient.corner_orders]
     # consistency with the orbit-number preconditions
     possible_orbit_numbers(group_order, quotient)
-    return group_order // (lcm_list(orders) if orders else 1)
+    return group_order // math.lcm(*orders)
 
 
 def satisfies_obstruction_divisibility(

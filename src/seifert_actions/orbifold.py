@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import INT, parse_int, parse_int_list
+
 __all__ = [
     "OrbifoldData",
     "QuotientDataError",
@@ -100,19 +102,12 @@ def possible_orbit_numbers(group_order: int, quotient: OrbifoldData) -> set[int]
     return numbers
 
 
-_ORBIFOLD_RE = re.compile(
-    r"genus:(-?\d+)\s+cone:\(([\d,\s]*)\)\s+corner:\(([\d,\s]*)\)"
-)
+# the order lists are read, and their tokens checked, by `_parse_order_list`
+_ORBIFOLD_RE = re.compile(rf"genus:({INT})\s+cone:\(([^()]*)\)\s+corner:\(([^()]*)\)")
 
 
 def _parse_order_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise QuotientDataError(f"bad order list: {text!r}") from None
+    return parse_int_list(text, QuotientDataError, f"bad order list: {text.strip()!r}")
 
 
 def parse_orbifold(text: str) -> OrbifoldData:
@@ -126,7 +121,7 @@ def parse_orbifold(text: str) -> OrbifoldData:
         raise QuotientDataError(f"not an orbifold data set: {text!r}")
     cones = _parse_order_list(m.group(2))
     corners = _parse_order_list(m.group(3))
-    return OrbifoldData(int(m.group(1)), cones, corners, with_boundary=bool(corners))
+    return OrbifoldData(parse_int(m.group(1)), cones, corners, with_boundary=bool(corners))
 
 
 def format_orbifold(orb: OrbifoldData) -> str:

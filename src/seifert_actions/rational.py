@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: extended Euclid, lcm, and angles in Q/Z.
+"""Exact rational arithmetic, angles in Q/Z, and the integer token grammar.
 
 Everything downstream (presentation sums, torus phases, obstruction
 witnesses) is exact; no floating point is used anywhere.
@@ -6,54 +6,57 @@ witnesses) is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "Fraction",
+    "INT",
     "RationalAngle",
     "ZERO_ANGLE",
     "angle",
-    "ext_gcd",
-    "lcm_list",
     "parse_fraction",
+    "parse_int",
+    "parse_int_list",
 ]
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+INT = "-?[0-9]+"
+"""The integer token of every text format: ASCII digits after an optional
+'-'.  Format regexes embed it; `parse_int` and `parse_int_list` read it."""
+
+_INT_RE = re.compile(INT)
+# A list is empty or tokens joined by its separator: a comma with optional
+# whitespace around it, or (sep None, as in table rows) whitespace alone.
+_INT_LIST_RES = {
+    ",": re.compile(rf"\s*(?:{INT}(?:\s*,\s*{INT})*)?\s*"),
+    None: re.compile(rf"\s*(?:{INT}(?:\s+{INT})*)?\s*"),
+}
+# a fraction is an integer, optionally over an unsigned one
+_FRACTION_RE = re.compile(rf"({INT})(?:/(?!-)({INT}))?")
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
-    if a == 0 and b == 0:
-        raise ValueError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def parse_int(text: str) -> int:
+    """Read one integer token; surrounding whitespace is allowed."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
-def lcm_list(ns: list[int]) -> int:
-    """Least common multiple of a nonempty list of positive integers."""
-    if not ns:
-        raise ValueError("lcm_list requires a nonempty list")
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"lcm_list entries must be >= 1, got {n}")
-    return math.lcm(*ns)
+def parse_int_list(
+    text: str, error: type[ValueError], message: str, sep: str | None = ","
+) -> tuple[int, ...]:
+    """Read integer tokens separated by `sep`, or by whitespace when `sep`
+    is None.  A blank text is the empty list; a text that is not a list,
+    such as one with an empty entry, raises `error(message)`."""
+    if _INT_LIST_RES[sep].fullmatch(text) is None:
+        raise error(message)
+    return tuple(map(int, _INT_RE.findall(text)))
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'a' or 'a/b' (b > 0) into an exact Fraction."""
-    m = _FRACTION_RE.match(text.strip())
+    m = _FRACTION_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a fraction: {text!r}")
     num = int(m.group(1))

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import INT, parse_int
+
 __all__ = [
     "GluingPair",
     "MoveError",
@@ -243,7 +245,7 @@ def induced_fibration(gp: GluingPair) -> tuple[int, int]:
     return (-gp.attached_pair.q, gp.y)
 
 
-_PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
+_PAIR_RE = re.compile(rf"\(({INT}),({INT})\)")
 
 
 def parse_pair(text: str) -> SeifertPair:
@@ -252,16 +254,16 @@ def parse_pair(text: str) -> SeifertPair:
     m = _PAIR_RE.fullmatch(compact)
     if m is None:
         raise PresentationError(f"not a Seifert pair: {text!r}")
-    return SeifertPair(int(m.group(1)), int(m.group(2)))
+    return SeifertPair(parse_int(m.group(1)), parse_int(m.group(2)))
 
 
 def parse_presentation(text: str) -> SeifertPresentation:
     """Parse `(g, o1 | (q1,p1), (q2,p2), ...)`; whitespace-insensitive."""
     compact = re.sub(r"\s+", "", text)
-    m = re.fullmatch(r"\((-?\d+),o1\|(.*)\)", compact)
+    m = re.fullmatch(rf"\(({INT}),o1\|(.*)\)", compact)
     if m is None:
         raise PresentationError(f"not a presentation: {text!r}")
-    genus = int(m.group(1))
+    genus = parse_int(m.group(1))
     body = m.group(2)
     pairs = []
     if body:
@@ -276,7 +278,7 @@ def parse_presentation(text: str) -> SeifertPresentation:
             pm = _PAIR_RE.match(body, pos)
             if pm is None:
                 raise PresentationError(f"bad pair at position {pos} of {text!r}")
-            pairs.append(SeifertPair(int(pm.group(1)), int(pm.group(2))))
+            pairs.append(SeifertPair(parse_int(pm.group(1)), parse_int(pm.group(2))))
             pos = pm.end()
     return SeifertPresentation(genus, tuple(pairs))
 

@@ -27,11 +27,6 @@ __all__ = [
     "power",
 ]
 
-# Any finite-order 2x2 integer matrix has order 1, 2, 3, 4 or 6, so powers
-# up to 12 certify infinite order.
-_MATRIX_ORDER_CUTOFF = 12
-
-
 @dataclass(frozen=True)
 class TorusAutomorphism:
     m11: int
@@ -104,34 +99,26 @@ def power(f: TorusAutomorphism, k: int) -> TorusAutomorphism:
     return result
 
 
-def _matrix_power(m: tuple[int, int, int, int], f: TorusAutomorphism):
-    a, b, c, d = m
-    return (
-        a * f.m11 + b * f.m21,
-        a * f.m12 + b * f.m22,
-        c * f.m11 + d * f.m21,
-        c * f.m12 + d * f.m22,
-    )
-
-
 def order(f: TorusAutomorphism) -> int | None:
     """Least k >= 1 with f^k = identity (matrix and phases), None if infinite.
 
-    The matrix part is iterated up to the rank-2 cutoff; once it stabilizes
-    at the identity after k0 steps, the remaining phase vector lives in
-    (Q/Z)^2 and its order is the lcm of the denominators.
+    An integer matrix of determinant 1 has finite order exactly when it is
+    +-I or |trace| < 2, and one of determinant -1 exactly when its trace is
+    0; that order is then 1, 2, 3, 4 or 6.  Once the matrix part reaches the
+    identity after k0 steps, the remaining phase vector lives in (Q/Z)^2
+    and its order is the lcm of the denominators.
     """
-    m = f.matrix()
-    matrix_order = None
-    for k in range(1, _MATRIX_ORDER_CUTOFF + 1):
-        if k > 1:
-            m = _matrix_power(m, f)
-        if m == (1, 0, 0, 1):
-            matrix_order = k
-            break
-    if matrix_order is None:
+    trace = f.m11 + f.m22
+    if f.det == 1:
+        finite = abs(trace) < 2 or f.matrix() in ((1, 0, 0, 1), (-1, 0, 0, -1))
+    else:
+        finite = trace == 0
+    if not finite:
         return None
-    stabilized = power(f, matrix_order)
+    stabilized, matrix_order = f, 1
+    while stabilized.matrix() != (1, 0, 0, 1):
+        stabilized = compose(stabilized, f)
+        matrix_order += 1
     phase_order = math.lcm(stabilized.phase1.order, stabilized.phase2.order)
     return matrix_order * phase_order
 

@@ -3,6 +3,8 @@
 import math
 from itertools import permutations
 
+from hypothesis import settings
+
 from seifert_actions.action import ExtendedActionData, boundary_action
 from seifert_actions.groups import (
     cyclic_group,
@@ -13,6 +15,10 @@ from seifert_actions.groups import (
 from seifert_actions.rational import ZERO_ANGLE, angle
 from seifert_actions.seifert import SeifertPair, SeifertPresentation
 from seifert_actions.torus import compose
+
+
+# Property tests run a fixed, bounded set of examples and keep no database.
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
 def random_presentation(rng, max_q=50, max_p=200, max_pairs=6):

@@ -1,9 +1,15 @@
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
+    PROPERTY,
     evaluation_homomorphism_holds,
     klein_action,
     make_action,
@@ -30,9 +36,9 @@ from seifert_actions.action import (
     solid_torus_eval,
     verify_action,
 )
-from seifert_actions.groups import cyclic_group, direct_product, format_group
+from seifert_actions.groups import cyclic_group, dihedral_group, direct_product, format_group
 from seifert_actions.rational import ZERO_ANGLE, angle
-from seifert_actions.seifert import SeifertPair, normalize, parse_presentation
+from seifert_actions.seifert import SeifertPair, normalize, pair_problems, parse_presentation
 from seifert_actions.torus import IDENTITY, TorusAutomorphism, gluing_automorphism
 from seifert_actions.torus import conjugate_by_gluing
 
@@ -305,6 +311,35 @@ def test_action_file_round_trip(tmp_path):
         assert parsed == data
 
 
+ANGLES = st.builds(angle, st.integers(-30, 30), st.integers(1, 12))
+PAIRS = st.builds(SeifertPair, st.integers(1, 40), st.integers(-99, 99)).filter(
+    lambda pair: not pair_problems((pair,))
+)
+
+
+@st.composite
+def structurally_valid_actions(draw):
+    """Action data that passes the structural checks; the laws may fail."""
+    group = draw(st.sampled_from([cyclic_group(1), cyclic_group(3), dihedral_group(2)]))
+    pairs = draw(st.lists(PAIRS, min_size=1, max_size=3))
+    n, order = len(pairs), group.order
+    return make_action(
+        group, pairs,
+        draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order)),
+        draw(st.lists(ANGLES, min_size=order, max_size=order)),
+        draw(st.lists(st.permutations(range(n)), min_size=order, max_size=order)),
+        draw(st.lists(st.lists(ANGLES, min_size=n, max_size=n), min_size=order, max_size=order)),
+    )
+
+
+@PROPERTY
+@given(structurally_valid_actions())
+def test_action_file_round_trip_property(data):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "g.txt").write_text(format_group(data.group), encoding="utf-8")
+        assert parse_action_text(format_action(data, "g.txt"), base_dir=d) == data
+
+
 def test_action_parse_errors_cite_lines(tmp_path):
     group_file = tmp_path / "g.txt"
     group_file.write_text(format_group(cyclic_group(2)), encoding="utf-8")
@@ -362,3 +397,18 @@ def test_action_parse_errors_cite_lines(tmp_path):
     bad = text.replace("pairs: (3,2)", "pairs: (4,2)")
     with pytest.raises(ActionFormatError, match=r":2: pair 1: \(4,2\) not coprime \(gcd=2\)"):
         parse_action_text(bad, base_dir=tmp_path)
+
+    for old, new, message in [
+        ("1/5 beta=(1)", "1/5 beta=(+1)", r":4: bad beta '\(\+1\)'"),
+        ("theta1=1/5 beta=(1) theta2=0", "theta1=1/5 beta=(1) theta2=٠", ":4: bad angle '٠'"),
+        ("theta1=1/5", "theta1=١/٢", ":4: bad angle '١/٢'"),
+    ]:
+        with pytest.raises(ActionFormatError, match=message):
+            parse_action_text(text.replace(old, new), base_dir=tmp_path)
+
+    for row in ["0 0_1", "1 +0"]:
+        (tmp_path / "bad_g.txt").write_text(f"order: 2\n0 1\n{row}\n", encoding="utf-8")
+        bad = text.replace("group: g.txt", "group: bad_g.txt")
+        message = ":1: .*bad_g.txt:3: " + re.escape(f"bad table row '{row}'")
+        with pytest.raises(ActionFormatError, match=message):
+            parse_action_text(bad, base_dir=tmp_path)

@@ -9,7 +9,10 @@ from seifert_actions.seifert import parse_presentation
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -65,6 +68,8 @@ def test_euler(capsys):
     assert code == 0 and out == "-10/3\n"
     code, out, _ = run(capsys, "euler", "(0,o1|)")
     assert code == 0 and out == "0\n"
+    code, out, err = run(capsys, "euler", "(٠,o1|(٣,٢))")
+    assert (code, out, err) == (2, "", "error: not a presentation: '(٠,o1|(٣,٢))'\n")
 
 
 def test_glue_pair(capsys):
@@ -100,6 +105,17 @@ def test_orbit_numbers(capsys):
         capsys, "orbit-numbers", "--order", "12", "genus:0 cone:(2,,3) corner:()"
     )
     assert code == 2 and err == "error: bad order list: '2,,3'\n"
+    code, _, err = run(
+        capsys, "orbit-numbers", "genus:0 cone:(٢, 3) corner:()", "--order", "6"
+    )
+    assert code == 2 and err == "error: bad order list: '٢, 3'\n"
+    code, _, err = run(
+        capsys, "orbit-numbers", "--order", "٦", "genus:0 cone:(2, 3) corner:()"
+    )
+    assert code == 2 and "argument --order: invalid int value: '٦'" in err
+    for text, want in [("genus:0 cone:(2, 3) corner:()", "2 3 6\n"),
+                       ("genus:0 cone:() corner:()", "6\n")]:
+        assert run(capsys, "orbit-numbers", "--order", "6", text) == (0, want, "")
 
 
 def test_check_obstruction(capsys):
@@ -117,6 +133,12 @@ def test_check_obstruction(capsys):
     )
     assert code == 3
     assert out.endswith("not satisfied\n")
+    code, _, err = run(
+        capsys,
+        "check-obstruction", "--b", "1_2", "--order", "12",
+        "genus:0 cone:(2,3) corner:()",
+    )
+    assert code == 2 and "argument --b: invalid int value: '1_2'" in err
 
 
 def test_decompose(capsys):
@@ -126,6 +148,11 @@ def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--b", "1", "--orbits", "2,3")
     assert code == 0
     assert out == "1 = -1*2 + 1*3\n"
+    code, out, _ = run(capsys, "decompose", "--b", "5", "--orbits", "2, 3")
+    assert code == 0 and out == "5 = 1*2 + 1*3\n"
+    for b, orbits in [("5", "2,,3"), ("10", "1_0")]:
+        code, out, err = run(capsys, "decompose", "--b", b, "--orbits", orbits)
+        assert (code, out, err) == (2, "", f"error: bad orbit list: '{orbits}'\n")
 
 
 def test_rewrite(capsys):
@@ -144,6 +171,16 @@ def test_rewrite(capsys):
         capsys, "rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", "1,0"
     )
     assert code == 2 and "must equal b" in err
+    code, out, err = run(
+        capsys, "rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", ",1,1,"
+    )
+    assert (code, out, err) == (2, "", "error: bad h list: ',1,1,'\n")
+    code, out, err = run(
+        capsys,
+        "rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", "1,1", "--partition", "1;;2",
+    )
+    assert (code, out, err) == (2, "", "error: bad partition list: '1;;2'\n")
+    assert run(capsys, "rewrite", "(0,o1|)", "--h", "") == (0, "(0, o1 |)\n", "")
 
 
 def test_verify_action(capsys, tmp_path):
@@ -179,6 +216,10 @@ def test_boundary_and_filling_action(capsys, tmp_path):
         capsys, "boundary-action", path, "--element", "9", "--index", "1"
     )
     assert code == 2 and "out of range" in err
+    for flag, value in [("--element", "+1"), ("--index", "١")]:
+        code, _, err = run(capsys, "boundary-action", path, "--element", "1",
+                           "--index", "1", flag, value)
+        assert code == 2 and f"argument {flag}: invalid int value: '{value}'" in err
 
 
 def test_orbits(capsys, tmp_path):

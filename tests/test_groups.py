@@ -1,6 +1,11 @@
+import re
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import PROPERTY
 
 from seifert_actions.groups import (
     GroupTableError,
@@ -119,6 +124,22 @@ def test_parse_group_text_round_trip():
     assert parsed == d3
 
 
+BUILT_IN_GROUPS = st.one_of(
+    st.integers(1, 12).map(cyclic_group),
+    st.integers(1, 6).map(dihedral_group),
+    st.just(quaternion_group()),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda t: direct_product(cyclic_group(t[0]), dihedral_group(t[1]))
+    ),
+)
+
+
+@PROPERTY
+@given(BUILT_IN_GROUPS)
+def test_parse_group_text_round_trip_property(group):
+    assert parse_group_text(format_group(group)) == group
+
+
 def test_parse_group_text_errors():
     with pytest.raises(GroupTableError, match="order"):
         parse_group_text("2\n0 1\n1 0\n")
@@ -133,3 +154,10 @@ def test_parse_group_text_errors():
         parse_group_text("order: 1\n# comment\norder: 1\n0\n")
     with pytest.raises(GroupTableError, match=":3: expected a table row"):
         parse_group_text("order: 2\n0 1\n1: 0\n")
+    for rows, where, bad in [("0 0_1\n1 0\n", 2, "0 0_1"), ("0 1\n1 +0\n", 3, "1 +0"),
+                             ("0 1\n1 ٠\n", 3, "1 ٠")]:
+        with pytest.raises(GroupTableError, match=re.escape(f":{where}: bad table row '{bad}'")):
+            parse_group_text("order: 2\n" + rows)
+    for header in ["+2", "2_0", "٢"]:
+        with pytest.raises(GroupTableError, match=re.escape(f":1: bad order '{header}'")):
+            parse_group_text(f"order: {header}\n0 1\n1 0\n")

@@ -2,6 +2,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import PROPERTY
 
 from seifert_actions.groups import cyclic_group, generated_subgroup, left_cosets
 from seifert_actions.orbifold import (
@@ -111,3 +115,21 @@ def test_parse_and_format():
                       ("genus:0 cone:() corner:(2,)", "'2,'")]:
         with pytest.raises(QuotientDataError, match=f"bad order list: {bad}"):
             parse_orbifold(text)
+    for text, bad in [("genus:0 cone:(٢, 3) corner:()", "'٢, 3'"),
+                      ("genus:0 cone:(1_0) corner:()", "'1_0'"),
+                      ("genus:0 cone:() corner:(+2)", r"'\+2'")]:
+        with pytest.raises(QuotientDataError, match=f"bad order list: {bad}"):
+            parse_orbifold(text)
+    with pytest.raises(QuotientDataError, match="not an orbifold data set: 'genus:٠"):
+        parse_orbifold("genus:٠ cone:() corner:()")
+    assert parse_orbifold("genus:0 cone:(2, 3) corner:()") == OrbifoldData(0, (2, 3))
+
+
+ORDERS = st.lists(st.integers(min_value=2), max_size=5).map(tuple)
+
+
+@PROPERTY
+@given(st.integers(min_value=0), ORDERS, ORDERS)
+def test_parse_format_round_trip_property(genus, cones, corners):
+    orb = OrbifoldData(genus, cones, corners, with_boundary=bool(corners))
+    assert parse_orbifold(format_orbifold(orb)) == orb

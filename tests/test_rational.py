@@ -1,51 +1,21 @@
 import math
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import PROPERTY
 
 from seifert_actions.rational import (
     ZERO_ANGLE,
     angle,
-    ext_gcd,
-    lcm_list,
     parse_fraction,
+    parse_int,
+    parse_int_list,
 )
-
-
-def test_ext_gcd_known_values():
-    assert ext_gcd(2, 3) == (1, -1, 1)
-    assert ext_gcd(12, 8) == (4, 1, -1)
-    assert ext_gcd(5, 0) == (5, 1, 0)
-
-
-def test_ext_gcd_rejects_double_zero():
-    with pytest.raises(ValueError):
-        ext_gcd(0, 0)
-
-
-def test_ext_gcd_exhaustive_small_range():
-    # identity s*a + t*b = g and g = gcd, for all |a|, |b| <= 200
-    for a in range(-200, 201):
-        for b in range(-200, 201):
-            if a == 0 and b == 0:
-                continue
-            g, s, t = ext_gcd(a, b)
-            assert g == math.gcd(a, b)
-            assert s * a + t * b == g
-
-
-def test_lcm_list_known_values():
-    assert lcm_list([2, 3]) == 6
-    assert lcm_list([4, 6]) == 12
-    assert lcm_list([1]) == 1
-
-
-def test_lcm_list_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lcm_list([])
-    with pytest.raises(ValueError):
-        lcm_list([3, 0])
 
 
 def _divisors(n):
@@ -119,3 +89,56 @@ def test_angle_order():
     assert ZERO_ANGLE.order == 1
     assert angle(1, 2).order == 2
     assert angle(5, 6).order == 6
+
+
+def test_parse_fraction_rejects_tokens_outside_the_grammar():
+    for bad in ["١/٢", "+1/2", "1/-2", "1_0/3", "1/+2"]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_fraction(bad)
+
+
+class _ListError(ValueError):
+    pass
+
+
+NON_ASCII_DIGITS = st.characters(categories=["Nd"], exclude_characters="0123456789")
+# tokens outside the grammar: non-ASCII digits, '+', '_', an empty entry
+BAD_TOKENS = st.one_of(
+    st.text(NON_ASCII_DIGITS, min_size=1),
+    st.tuples(st.integers(), NON_ASCII_DIGITS).map(lambda t: f"{t[0]}{t[1]}"),
+    st.integers(min_value=0).map(lambda n: f"+{n}"),
+    st.tuples(st.integers(), st.integers(min_value=0)).map(lambda t: f"{t[0]}_{t[1]}"),
+    st.just(""),
+)
+
+
+def test_int_list_examples():
+    assert parse_int_list(" ", _ListError, "unused") == ()
+    assert parse_int_list(" -7 , 0,12 ", _ListError, "unused") == (-7, 0, 12)
+    assert parse_int_list("0\t-1  2", _ListError, "unused", sep=None) == (0, -1, 2)
+    for text in [",", ",1", "1,", "1,,2", "1 2", "- 1", "1-2", "0x1", "1e3"]:
+        with pytest.raises(_ListError, match="bad"):
+            parse_int_list(text, _ListError, "bad")
+
+
+@PROPERTY
+@given(st.lists(st.integers(), max_size=8))
+def test_int_list_round_trip(values):
+    for sep, joiner in [(",", ","), (",", " , "), (None, " "), (None, " \t ")]:
+        text = joiner.join(str(v) for v in values)
+        assert parse_int_list(text, _ListError, "unused", sep) == tuple(values)
+    assert [parse_int(f" {v} ") for v in values] == values
+
+
+@PROPERTY
+@given(st.lists(st.integers().map(str), min_size=1, max_size=6), BAD_TOKENS, st.data())
+def test_int_list_rejects_tokens_outside_the_grammar(tokens, bad, data):
+    tokens.insert(data.draw(st.integers(0, len(tokens))), bad)
+    with pytest.raises(ValueError, match="invalid int value"):
+        parse_int(bad)
+    for sep, joiner in [(",", ","), (None, " ")]:
+        if sep is None and bad == "":
+            continue  # whitespace lists have no empty entries
+        text = joiner.join(tokens)
+        with pytest.raises(_ListError, match=re.escape(f"bad list: {text!r}")):
+            parse_int_list(text, _ListError, f"bad list: {text!r}", sep)

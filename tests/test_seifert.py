@@ -1,9 +1,13 @@
 import math
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import PROPERTY
 from helpers import random_legal_move as _random_legal_move
 from helpers import random_presentation as _random_presentation
 from seifert_actions.seifert import (
@@ -21,6 +25,7 @@ from seifert_actions.seifert import (
     gluing_pair,
     induced_fibration,
     normalize,
+    parse_pair,
     parse_presentation,
     permute,
     shift,
@@ -184,10 +189,26 @@ def test_presentation_round_trip():
     assert normalize(parse_presentation(format_normalized(n))) == n
 
 
+@PROPERTY
+@given(st.integers(), st.lists(st.tuples(st.integers(), st.integers()), max_size=5))
+def test_presentation_round_trip_property(genus, pairs):
+    pres = SeifertPresentation(genus, tuple(SeifertPair(q, p) for q, p in pairs))
+    assert parse_presentation(format_presentation(pres)) == pres
+    for pair in pres.pairs:
+        assert parse_pair(str(pair)) == pair
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "(0,o1", "(0,o2|)", "(0,o1|(3,2)(3,2))", "(x,o1|)", "(0,o1|(3,))"]:
         with pytest.raises(PresentationError):
             parse_presentation(bad)
+    # integers are ASCII digits after an optional '-'
+    for bad in ["(٠,o1|(٣,٢))", "(0,o1|(+3,2))", "(0,o1|(3,1_0))", "(+0,o1|)"]:
+        with pytest.raises(PresentationError, match=re.escape(repr(bad))):
+            parse_presentation(bad)
+    for bad in ["(٣,٢)", "(3,+2)", "(3_0,1)"]:
+        with pytest.raises(PresentationError, match=re.escape(f"not a Seifert pair: {bad!r}")):
+            parse_pair(bad)
 
 
 def test_parse_is_whitespace_insensitive():

@@ -1,3 +1,5 @@
+import math
+from itertools import product
 from random import Random
 
 import pytest
@@ -129,6 +131,42 @@ def test_shear_blocks_finite_order():
         else:
             assert order(up) is None
             assert order(down) is None
+
+
+def _matrix_order_up_to_12(m):
+    a, b, c, d = m
+    power_m = m
+    for k in range(1, 13):
+        if power_m == (1, 0, 0, 1):
+            return k
+        w, x, y, z = power_m
+        power_m = (w * a + x * c, w * b + x * d, y * a + z * c, y * b + z * d)
+    return None
+
+
+def test_order_matches_brute_force_on_small_matrices():
+    # every determinant +-1 matrix with entries in [-4, 4], with random
+    # phases.  A finite-order integer matrix has order at most 6, so powers
+    # up to 12 certify infinite order; after that many steps the phases
+    # have denominators dividing den, so f^(6*den) is then the identity.
+    rng = Random(12)
+    count = 0
+    for m in product(range(-4, 5), repeat=4):
+        if abs(m[0] * m[3] - m[1] * m[2]) != 1:
+            continue
+        count += 1
+        phase1, phase2 = (angle(rng.randrange(0, 4), rng.randrange(1, 5)) for _ in "12")
+        f = TorusAutomorphism(*m, phase1, phase2)
+        if _matrix_order_up_to_12(m) is None:
+            assert order(f) is None, m
+            continue
+        g, k = f, 1
+        while not g.is_identity():
+            assert k < 6 * math.lcm(phase1.order, phase2.order), m
+            g = compose(g, f)
+            k += 1
+        assert order(f) == k, m
+    assert count == 360
 
 
 def test_conjugate_by_gluing_examples():
