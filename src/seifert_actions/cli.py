@@ -131,7 +131,7 @@ def _cmd_rewrite(args) -> int:
     h = obstruction_mod.HFunction(
         parse_int_list(args.h, ValueError, f"bad h list: {args.h!r}")
     )
-    partition = _parse_partition(args.partition) if args.partition else None
+    partition = None if args.partition is None else _parse_partition(args.partition)
     print(seifert.format_presentation(
         obstruction_mod.rewrite_presentation(norm, h, partition)
     ))

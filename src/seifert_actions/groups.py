@@ -1,13 +1,16 @@
 """Finite groups given by explicit multiplication tables.
 
 Elements are the indices 0..N-1; table[a][b] is the product a*b.  Orders
-here stay small (a few hundred at most), so every axiom is checked
-exhaustively and subgroup questions are answered by direct scans.
+here stay small (a few hundred at most), so subgroup questions are answered
+by direct scans.  A table is checked entry by entry for range, the Latin
+property and an identity; associativity is checked by Light's test on a
+generating set (`validate_group`), in O(N^2 log N) steps instead of O(N^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .rational import parse_int, parse_int_list
@@ -55,6 +58,19 @@ class FiniteGroup:
                 return b
         raise GroupTableError(f"element {a} has no inverse")
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily: the lowest element outside the
+        subgroup generated so far joins it.  Each new generator at least
+        doubles that subgroup (Lagrange), so there are at most log2 N."""
+        gens: list[int] = []
+        members = frozenset((self.identity,))
+        for g in self.elements():
+            if g not in members:
+                gens.append(g)
+                members = generated_subgroup(self, gens)
+        return tuple(gens)
+
     def element_order(self, a: int) -> int:
         x = a
         n = 1
@@ -65,7 +81,17 @@ class FiniteGroup:
 
 
 def validate_group(table: list[list[int]]) -> FiniteGroup:
-    """Check all four group axioms exhaustively; raise on the first failure."""
+    """Check the group axioms; raise on the first failure.
+
+    Range, Latin property and identity are checked on every entry.
+    Associativity uses Light's test: (a*s)*c = a*(s*c) for every a, c and
+    each s of a generating set S.  The s that pass are closed under
+    products, and a finite subset of a Latin square closed under products
+    also holds the inverses of its elements (left multiplication by one of
+    them permutes it).  So the passing s include everything that S
+    generates, which is the whole table.  Only a failing table gets the
+    full O(N^3) scan, which reports the first failing triple.
+    """
     n = len(table)
     if n == 0:
         raise GroupTableError("empty table")
@@ -88,19 +114,31 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
             break
     if identity is None:
         raise GroupTableError("no identity element")
+    group = FiniteGroup(tuple(tuple(row) for row in table), identity)
+    rows = group.table
+    for s in group.generators:
+        row_s = rows[s]
+        for row_a in rows:
+            if rows[row_a[s]] != tuple(map(row_a.__getitem__, row_s)):
+                _raise_first_associativity_failure(rows)
+    return group
+
+
+def _raise_first_associativity_failure(rows) -> None:
+    """Scan every triple and raise on the lexicographically first one
+    with (a*b)*c != a*(b*c)."""
+    n = len(rows)
     for a in range(n):
-        row_a = table[a]
+        row_a = rows[a]
         for b in range(n):
-            ab = row_a[b]
-            row_ab = table[ab]
-            row_b = table[b]
+            row_ab = rows[row_a[b]]
+            row_b = rows[b]
             for c in range(n):
                 if row_ab[c] != row_a[row_b[c]]:
                     raise GroupTableError(
                         f"associativity fails at ({a},{b},{c}): "
                         f"({a}*{b})*{c}={row_ab[c]} but {a}*({b}*{c})={row_a[row_b[c]]}"
                     )
-    return FiniteGroup(tuple(tuple(row) for row in table), identity)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -179,15 +217,16 @@ def is_subgroup(group: FiniteGroup, elements: list[int]) -> bool:
 
 
 def generated_subgroup(group: FiniteGroup, generators: list[int]) -> frozenset[int]:
+    steps = [*generators, *map(group.inv, generators)]
     members = {group.identity}
     frontier = list(members)
     while frontier:
         a = frontier.pop()
-        for g in generators:
-            for x in (group.mul(a, g), group.mul(a, group.inv(g))):
-                if x not in members:
-                    members.add(x)
-                    frontier.append(x)
+        for g in steps:
+            x = group.mul(a, g)
+            if x not in members:
+                members.add(x)
+                frontier.append(x)
     return frozenset(members)
 
 

@@ -89,7 +89,8 @@ class RationalAngle:
         return RationalAngle(-self.value)
 
     def scale(self, k: int) -> RationalAngle:
-        return RationalAngle(self.value * k)
+        # k = 1, the untwisted case of every action law, needs no arithmetic
+        return self if k == 1 else RationalAngle(self.value * k)
 
     def is_zero(self) -> bool:
         return self.value == 0

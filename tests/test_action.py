@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tempfile
 from fractions import Fraction
@@ -36,7 +37,13 @@ from seifert_actions.action import (
     solid_torus_eval,
     verify_action,
 )
-from seifert_actions.groups import cyclic_group, dihedral_group, direct_product, format_group
+from seifert_actions.groups import (
+    FiniteGroup,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    format_group,
+)
 from seifert_actions.rational import ZERO_ANGLE, angle
 from seifert_actions.seifert import SeifertPair, normalize, pair_problems, parse_presentation
 from seifert_actions.torus import IDENTITY, TorusAutomorphism, gluing_automorphism
@@ -298,6 +305,38 @@ def test_kernel_is_normal():
                 assert group.mul(group.mul(g, k), group.inv(g)) in kernel
 
 
+def full_scan(data):
+    """verify_action with every element as a generator: its first check
+    then covers all N^2 pairs, so the report is the full scan's."""
+    group = FiniteGroup(data.group.table, data.group.identity)
+    group.__dict__["generators"] = tuple(group.elements())
+    return verify_action(dataclasses.replace(data, group=group))
+
+
+PERTURBED_BASES = standard_fixtures() + [
+    quaternion_action(),
+    mixed_orbit_action(12, [(3, SeifertPair(2, 1)), (2, SeifertPair(5, 2))]),
+]
+
+
+@PROPERTY
+@given(st.sampled_from(PERTURBED_BASES), st.integers(0, 2**32))
+def test_generator_check_matches_full_scan_on_perturbed_actions(data, seed):
+    mutated = perturb_action(data, Random(seed))
+    report = verify_action(mutated)
+    assert report == full_scan(mutated)
+    laws_hold = not any("law fails" in p or "homomorphism at" in p for p in report)
+    assert laws_hold == evaluation_homomorphism_holds(mutated)
+
+
+def test_trivial_group_is_checked_at_the_identity():
+    data = dataclasses.replace(trivial_action(cyclic_group(1)), alpha=(-1,))
+    assert cyclic_group(1).generators == ()
+    assert verify_action(data) == [
+        "alpha is not a homomorphism at (0,0): alpha(0)=-1 but product is +1"
+    ]
+
+
 def test_action_file_round_trip(tmp_path):
     for name, data in [
         ("klein", klein_action()),
@@ -338,6 +377,12 @@ def test_action_file_round_trip_property(data):
     with tempfile.TemporaryDirectory() as d:
         (Path(d) / "g.txt").write_text(format_group(data.group), encoding="utf-8")
         assert parse_action_text(format_action(data, "g.txt"), base_dir=d) == data
+
+
+@PROPERTY
+@given(structurally_valid_actions())
+def test_generator_check_matches_full_scan_on_random_data(data):
+    assert verify_action(data) == full_scan(data)
 
 
 def test_action_parse_errors_cite_lines(tmp_path):
@@ -397,6 +442,27 @@ def test_action_parse_errors_cite_lines(tmp_path):
     bad = text.replace("pairs: (3,2)", "pairs: (4,2)")
     with pytest.raises(ActionFormatError, match=r":2: pair 1: \(4,2\) not coprime \(gcd=2\)"):
         parse_action_text(bad, base_dir=tmp_path)
+
+    # the pairs line takes the spacing of parse_pair
+    for line in ["pairs: (3, 2)", "pairs: ( 3 , 2 )", "pairs:(3,2)"]:
+        assert parse_action_text(text.replace("pairs: (3,2)", line), base_dir=tmp_path).pairs == (
+            SeifertPair(3, 2),
+        )
+    (tmp_path / "g3.txt").write_text(format_group(cyclic_group(1)), encoding="utf-8")
+    one = "group: g3.txt\npairs: (3, 2)(5 ,2)  ( 3,2 )\n0: alpha=+1 theta1=0 beta=(1,2,3) theta2=0,0,0\n"
+    assert parse_action_text(one, base_dir=tmp_path).pairs == (
+        SeifertPair(3, 2), SeifertPair(5, 2), SeifertPair(3, 2),
+    )
+    for line, piece in [
+        ("pairs: (3, 2) x", "x"),
+        ("pairs: (3,2),(5,2)", ",(5,2)"),
+        ("pairs: (3, 2) (3", "(3"),
+        ("pairs: 3,2", "3,2"),
+        ("pairs: (3,2))", ")"),
+    ]:
+        message = re.escape(f":2: not a Seifert pair: {piece!r}")
+        with pytest.raises(ActionFormatError, match=message):
+            parse_action_text(text.replace("pairs: (3,2)", line), base_dir=tmp_path)
 
     for old, new, message in [
         ("1/5 beta=(1)", "1/5 beta=(+1)", r":4: bad beta '\(\+1\)'"),

@@ -138,6 +138,9 @@ CASES = {
     "rewrite/not-constant": [
         "rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h=2,0", "--partition", "1,2",
     ],
+    "rewrite/empty-partition": [
+        "rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", "2,0", "--partition", "",
+    ],
     "rewrite/wrong-sum": ["rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", "1,0"],
     "rewrite/malformed": ["rewrite", "(0,o1|(3,2))", "--h=1,a"],
     "verify-action/z3": ["verify-action", "{dir}/z3.action"],
@@ -258,6 +261,7 @@ GOLDEN = {
     'orbits/d3': (0, '1: 3\n2: 3\n3: 3\n', ''),
     'orbits/klein': (0, '1: 2\n2: 2\n', ''),
     'orbits/missing-file': (2, '', "error: [Errno 2] No such file or directory: '{dir}/no_such_file.action'\n"),
+    'rewrite/empty-partition': (2, '', "error: bad partition list: ''\n"),
     'rewrite/malformed': (2, '', "error: bad h list: '1,a'\n"),
     'rewrite/not-constant': (2, '', 'error: h is not constant on the supplied orbit classes\n'),
     'rewrite/ok': (0, '(0, o1 | (3,5), (3,5))\n', ''),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import PROPERTY
 
 from seifert_actions.groups import (
+    FiniteGroup,
     GroupTableError,
     cyclic_group,
     dihedral_group,
@@ -49,8 +50,86 @@ def test_validate_group_rejects_non_associative():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(GroupTableError, match="associativity"):
+    message = "associativity fails at (1,1,2): (1*1)*2=2 but 1*(1*2)=4"
+    with pytest.raises(GroupTableError, match=re.escape(message)):
         validate_group(table)
+    # times Z2, the first generator (e, 1) passes Light's test; a later one fails
+    loop = direct_product(FiniteGroup(tuple(map(tuple, table)), 0), cyclic_group(2))
+    assert loop.generators == (1, 2, 4)
+    message = "associativity fails at (2,2,4): (2*2)*4=4 but 2*(2*4)=8"
+    with pytest.raises(GroupTableError, match=re.escape(message)):
+        validate_group([list(row) for row in loop.table])
+
+
+@st.composite
+def reduced_latin_squares(draw):
+    """A random Latin square of order 5 to 7 with first row and column
+    0..n-1, so 0 is a two-sided identity; half are group tables with their
+    non-identity elements relabeled, the rest are filled by backtracking."""
+    rng = draw(st.integers(0, 2**32).map(Random))
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([cyclic_group(5), cyclic_group(6),
+                                      dihedral_group(3), cyclic_group(7)]))
+        label = [0] + rng.sample(range(1, group.order), group.order - 1)
+        table = [[0] * group.order for _ in group.elements()]
+        for a in group.elements():
+            for b in group.elements():
+                table[label[a]][label[b]] = label[group.mul(a, b)]
+        return table
+    n = draw(st.integers(5, 7))
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        a, b = divmod(cell, n)
+        if table[a][b] is not None:
+            return fill(cell + 1)
+        used = set(table[a]) | {table[r][b] for r in range(a)}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                table[a][b] = v
+                if fill(cell + 1):
+                    return True
+        table[a][b] = None
+        return False
+
+    fill(0)
+    return table
+
+
+@PROPERTY
+@given(reduced_latin_squares())
+def test_light_test_agrees_with_triple_scan(table):
+    n = len(table)
+    failures = [
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    ]
+    if not failures:
+        assert validate_group(table).identity == 0
+        return
+    a, b, c = failures[0]
+    with pytest.raises(GroupTableError) as raised:
+        validate_group(table)
+    assert str(raised.value) == (
+        f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c}={table[table[a][b]][c]} "
+        f"but {a}*({b}*{c})={table[a][table[b][c]]}"
+    )
+
+
+def test_generators_generate_within_log2_bound():
+    groups = (
+        [cyclic_group(n) for n in range(1, 31)]
+        + [dihedral_group(n) for n in range(1, 13)]
+        + [direct_product(cyclic_group(a), cyclic_group(b))
+           for a, b in [(2, 2), (2, 3), (6, 8), (12, 8)]]
+        + [direct_product(cyclic_group(8), dihedral_group(4)), quaternion_group()]
+    )
+    for group in groups:
+        gens = group.generators
+        assert generated_subgroup(group, list(gens)) == frozenset(group.elements())
+        assert 2 ** len(gens) <= group.order
 
 
 def test_constructors_are_groups():
