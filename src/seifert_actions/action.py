@@ -149,13 +149,11 @@ def verify_action(data: ExtendedActionData) -> list[str]:
     """Check the compatibility laws and that beta only permutes equal
     fillings; an empty report means the data defines a group action.
 
-    The laws at (g, h) say that the action of g*h is that of h followed by
-    that of g, so the h at which they hold for every g are closed under
-    products.  Holding at (g, s) for every g and each s of the group's
-    generating set S therefore makes them hold at every pair: O(N*|S|*n)
-    steps instead of O(N^2*n).  The trivial group, with S empty, is checked
-    at (e, e).  Only failing data gets the scan of all N^2 pairs, so the
-    report lists every violation in order.
+    The laws at (g, h) say that g*h acts as h followed by g, so the h at
+    which they hold for every g are closed under products.  Checking (g, s)
+    for s in the group's generating set, or (e, e) when that set is empty,
+    thus covers every pair in O(N*|S|*n) steps.  Failing data gets the full
+    O(N^2*n) scan, so the report lists every violation in order.
     """
     group = data.group
     elements = group.elements()

@@ -83,14 +83,12 @@ class FiniteGroup:
 def validate_group(table: list[list[int]]) -> FiniteGroup:
     """Check the group axioms; raise on the first failure.
 
-    Range, Latin property and identity are checked on every entry.
-    Associativity uses Light's test: (a*s)*c = a*(s*c) for every a, c and
-    each s of a generating set S.  The s that pass are closed under
-    products, and a finite subset of a Latin square closed under products
-    also holds the inverses of its elements (left multiplication by one of
-    them permutes it).  So the passing s include everything that S
-    generates, which is the whole table.  Only a failing table gets the
-    full O(N^3) scan, which reports the first failing triple.
+    Range, Latin property and identity are checked entry by entry.
+    Associativity uses Light's test: (a*s)*c = a*(s*c) for all a, c and
+    each s in a generating set.  The s that pass are closed under products
+    (and, in a finite Latin square, under inverses), so they are the whole
+    table.  A failing table gets the full O(N^3) scan, which names the
+    first failing triple.
     """
     n = len(table)
     if n == 0:
