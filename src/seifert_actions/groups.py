@@ -1,10 +1,11 @@
-"""Finite groups given by explicit multiplication tables.
+"""Finite groups given by their order, identity and product.
 
-Elements are the indices 0..N-1; table[a][b] is the product a*b.  Orders
-here stay small (a few hundred at most), so subgroup questions are answered
-by direct scans.  A table is checked entry by entry for range, the Latin
-property and an identity; associativity is checked by Light's test on a
+Elements are the indices 0..N-1 and `mul(a, b)` is the product a*b.  The
+built-in groups multiply by formula; a multiplication table exists only for
+a group file.  Such a table is checked entry by entry for range, the Latin
+property and an identity, and for associativity by Light's test on a
 generating set (`validate_group`), in O(N^2 log N) steps instead of O(N^3).
+Orders stay small, so subgroup questions are answered by direct scans.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .rational import parse_int, parse_int_list
 
@@ -24,7 +26,6 @@ __all__ = [
     "format_group",
     "generated_subgroup",
     "is_subgroup",
-    "left_cosets",
     "parse_group_file",
     "parse_group_text",
     "quaternion_group",
@@ -38,23 +39,34 @@ class GroupTableError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+    """A group on 0..order-1 with product `mul(a, b)`.  `table` is built
+    from `mul` on first use; equality compares identity and table, and the
+    hash uses only (order, identity), so hashing builds no table."""
 
-    @property
-    def order(self) -> int:
-        return len(self.table)
+    order: int
+    identity: int
+    mul: Callable[[int, int], int]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (self.identity, self.table) == (other.identity, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.identity))
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """All N^2 products: table[a][b] = a*b."""
+        elements = self.elements()
+        return tuple(tuple(self.mul(a, b) for b in elements) for a in elements)
 
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
-        row = self.table[a]
         for b in self.elements():
-            if row[b] == self.identity:
+            if self.mul(a, b) == self.identity:
                 return b
         raise GroupTableError(f"element {a} has no inverse")
 
@@ -85,10 +97,11 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
 
     Range, Latin property and identity are checked entry by entry.
     Associativity uses Light's test: (a*s)*c = a*(s*c) for all a, c and
-    each s in a generating set.  The s that pass are closed under products
-    (and, in a finite Latin square, under inverses), so they are the whole
-    table.  A failing table gets the full O(N^3) scan, which names the
-    first failing triple.
+    each s in a generating set.  The s that pass are closed under products,
+    and every element is a product of generators (`generated_subgroup`), so
+    they are the whole table.  A failing table gets the full O(N^3) scan,
+    which names the first failing triple.  The group returned reads its
+    products from the rows.
     """
     n = len(table)
     if n == 0:
@@ -112,8 +125,8 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
             break
     if identity is None:
         raise GroupTableError("no identity element")
-    group = FiniteGroup(tuple(tuple(row) for row in table), identity)
-    rows = group.table
+    rows = tuple(map(tuple, table))
+    group = FiniteGroup(n, identity, lambda a, b: rows[a][b])
     for s in group.generators:
         row_s = rows[s]
         for row_a in rows:
@@ -142,22 +155,20 @@ def _raise_first_associativity_failure(rows) -> None:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupTableError(f"cyclic group order must be positive, got {n}")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(table, 0)
+    return FiniteGroup(n, 0, lambda a, b: (a + b) % n)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Product group with element (a1, a2) encoded as a1 * |G2| + a2."""
     n2 = g2.order
-    table = []
-    for a in range(g1.order * n2):
+    mul1, mul2 = g1.mul, g2.mul
+
+    def mul(a: int, b: int) -> int:
         a1, a2 = divmod(a, n2)
-        row = []
-        for b in range(g1.order * n2):
-            b1, b2 = divmod(b, n2)
-            row.append(g1.mul(a1, b1) * n2 + g2.mul(a2, b2))
-        table.append(tuple(row))
-    return FiniteGroup(tuple(table), g1.identity * n2 + g2.identity)
+        b1, b2 = divmod(b, n2)
+        return mul1(a1, b1) * n2 + mul2(a2, b2)
+
+    return FiniteGroup(g1.order * n2, g1.identity * n2 + g2.identity, mul)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -171,8 +182,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         rot = (ra + rb) % n if fa == 0 else (ra - rb) % n
         return rot + n * (fa ^ fb)
 
-    table = tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
-    return FiniteGroup(table, 0)
+    return FiniteGroup(2 * n, 0, mul)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -197,17 +207,17 @@ def quaternion_group() -> FiniteGroup:
         s *= sx * sy
         return axis if s == 1 else axis + 4
 
-    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    return FiniteGroup(table, 0)
+    return FiniteGroup(8, 0, mul)
 
 
 def is_subgroup(group: FiniteGroup, elements: list[int]) -> bool:
+    """Whether `elements` is a subgroup.  A nonempty subset of a finite group
+    that is closed under the product holds each a^-1 = a^(k-1), where k is
+    the order of a, so the identity and closure are all that is checked."""
     members = set(elements)
-    if group.identity not in members:
+    if group.identity not in members or not members.issubset(group.elements()):
         return False
     for a in members:
-        if group.inv(a) not in members:
-            return False
         for b in members:
             if group.mul(a, b) not in members:
                 return False
@@ -215,31 +225,18 @@ def is_subgroup(group: FiniteGroup, elements: list[int]) -> bool:
 
 
 def generated_subgroup(group: FiniteGroup, generators: list[int]) -> frozenset[int]:
-    steps = [*generators, *map(group.inv, generators)]
+    """The closure of {identity} under right multiplication by the generators:
+    closed under products, so a subgroup (see `is_subgroup`)."""
     members = {group.identity}
     frontier = list(members)
     while frontier:
         a = frontier.pop()
-        for g in steps:
+        for g in generators:
             x = group.mul(a, g)
             if x not in members:
                 members.add(x)
                 frontier.append(x)
     return frozenset(members)
-
-
-def left_cosets(group: FiniteGroup, subgroup: list[int]) -> list[frozenset[int]]:
-    if not is_subgroup(group, subgroup):
-        raise GroupTableError(f"{sorted(subgroup)} is not a subgroup")
-    cosets = []
-    seen: set[int] = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        coset = frozenset(group.mul(g, h) for h in subgroup)
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
 
 
 def keyed_lines(text: str, source: str, error: type[ValueError]):

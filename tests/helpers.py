@@ -1,7 +1,6 @@
 """Action fixtures and independent oracles shared across the test suite."""
 
 import math
-from itertools import permutations
 
 from hypothesis import settings
 
@@ -282,8 +281,8 @@ def perturb_action(data, rng):
                 break
         theta2[g][i] = new
     else:
-        options = [
-            perm for perm in permutations(range(data.n_boundary)) if perm != beta[g]
-        ]
-        beta[g] = rng.choice(options)
+        new = list(beta[g])
+        while tuple(new) == beta[g]:
+            rng.shuffle(new)
+        beta[g] = tuple(new)
     return make_action(data.group, data.pairs, data.alpha, theta1, beta, theta2)

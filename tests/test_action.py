@@ -308,7 +308,7 @@ def test_kernel_is_normal():
 def full_scan(data):
     """verify_action with every element as a generator: its first check
     then covers all N^2 pairs, so the report is the full scan's."""
-    group = FiniteGroup(data.group.table, data.group.identity)
+    group = FiniteGroup(data.group.order, data.group.identity, data.group.mul)
     group.__dict__["generators"] = tuple(group.elements())
     return verify_action(dataclasses.replace(data, group=group))
 
@@ -316,6 +316,8 @@ def full_scan(data):
 PERTURBED_BASES = standard_fixtures() + [
     quaternion_action(),
     mixed_orbit_action(12, [(3, SeifertPair(2, 1)), (2, SeifertPair(5, 2))]),
+    # nine boundary tori: a beta perturbation must not list all 9! permutations
+    mixed_orbit_action(6, [(6, SeifertPair(2, 1)), (3, SeifertPair(5, 2))]),
 ]
 
 

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -16,7 +18,6 @@ from seifert_actions.groups import (
     format_group,
     generated_subgroup,
     is_subgroup,
-    left_cosets,
     parse_group_text,
     quaternion_group,
     validate_group,
@@ -54,7 +55,7 @@ def test_validate_group_rejects_non_associative():
     with pytest.raises(GroupTableError, match=re.escape(message)):
         validate_group(table)
     # times Z2, the first generator (e, 1) passes Light's test; a later one fails
-    loop = direct_product(FiniteGroup(tuple(map(tuple, table)), 0), cyclic_group(2))
+    loop = direct_product(FiniteGroup(5, 0, lambda a, b: table[a][b]), cyclic_group(2))
     assert loop.generators == (1, 2, 4)
     message = "associativity fails at (2,2,4): (2*2)*4=4 but 2*(2*4)=8"
     with pytest.raises(GroupTableError, match=re.escape(message)):
@@ -178,12 +179,46 @@ def test_subgroups_and_cosets():
     rotations = [0, 1, 2]
     assert is_subgroup(d3, rotations)
     assert not is_subgroup(d3, [0, 3, 4])
-    cosets = left_cosets(d3, rotations)
-    assert len(cosets) == 2
+    # 6 is not an element of Z6, though 6 + 6 = 0 (mod 6) would close it
+    assert not is_subgroup(cyclic_group(6), [0, 6])
+    assert len({frozenset(d3.mul(g, h) for h in rotations) for g in d3.elements()}) == 2
     assert generated_subgroup(d3, [1]) == frozenset(rotations)
     assert generated_subgroup(d3, [1, 3]) == frozenset(range(6))
-    with pytest.raises(GroupTableError):
-        left_cosets(d3, [0, 3, 4])
+
+
+def brute_force_is_subgroup(group, elements):
+    members = set(elements)
+    return (
+        group.identity in members
+        and all(group.inv(a) in members for a in members)
+        and all(group.mul(a, b) in members for a in members for b in members)
+    )
+
+
+def test_is_subgroup_agrees_with_brute_force():
+    q8 = quaternion_group()
+    for size in range(9):
+        for subset in combinations(q8.elements(), size):
+            assert is_subgroup(q8, subset) == brute_force_is_subgroup(q8, subset)
+    d6 = dihedral_group(6)
+    rng = Random(13)
+    for _ in range(300):
+        subset = [g for g in d6.elements() if rng.random() < 0.5]
+        assert is_subgroup(d6, subset) == brute_force_is_subgroup(d6, subset)
+
+
+def test_built_in_groups_store_no_table():
+    tracemalloc.start()
+    try:
+        z = cyclic_group(2000)
+        d = dihedral_group(1000)
+        assert z.mul(1999, 3) == 2 and z.mul(700, 1300) == 0
+        assert d.mul(1, 1000) == 1001 and d.mul(1000, 1) == 1999
+        assert d.mul(1500, 1500) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_lagrange_on_random_generated_subgroups():
@@ -194,13 +229,15 @@ def test_lagrange_on_random_generated_subgroups():
             sub = sorted(generated_subgroup(group, gens))
             assert is_subgroup(group, sub)
             assert group.order % len(sub) == 0
-            assert len(left_cosets(group, sub)) == group.order // len(sub)
+            cosets = {frozenset(group.mul(g, h) for h in sub) for g in group.elements()}
+            assert len(cosets) == group.order // len(sub)
 
 
 def test_parse_group_text_round_trip():
     d3 = dihedral_group(3)
     parsed = parse_group_text(format_group(d3))
     assert parsed == d3
+    assert cyclic_group(4) != direct_product(cyclic_group(2), cyclic_group(2))
 
 
 BUILT_IN_GROUPS = st.one_of(
@@ -216,7 +253,9 @@ BUILT_IN_GROUPS = st.one_of(
 @PROPERTY
 @given(BUILT_IN_GROUPS)
 def test_parse_group_text_round_trip_property(group):
-    assert parse_group_text(format_group(group)) == group
+    parsed = parse_group_text(format_group(group))
+    assert parsed == group
+    assert hash(parsed) == hash(group)
 
 
 def test_parse_group_text_errors():
