@@ -13,6 +13,7 @@ acts on boundary indices from the left.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,9 +109,25 @@ def _beta_problem(images: tuple[int, ...], n: int, first: int = 0) -> str | None
     return None
 
 
-def _law_problems(data: ExtendedActionData, g1: int, g2: int) -> list[str]:
+def _residues(data: ExtendedActionData) -> tuple:
+    """(L, theta1, theta2) with every angle as its int residue mod L, the
+    lcm of all theta1 and theta2 denominators."""
+    angles = (*data.theta1, *(t for row in data.theta2 for t in row))
+    den = math.lcm(*(t.order for t in angles))
+
+    def residue(t: RationalAngle) -> int:
+        return t.value.numerator * (den // t.value.denominator)
+
+    theta2 = tuple(tuple(map(residue, row)) for row in data.theta2)
+    return den, tuple(map(residue, data.theta1)), theta2
+
+
+def _law_problems(data: ExtendedActionData, res: tuple, g1: int, g2: int) -> list[str]:
     """The compatibility laws at (g1, g2), in report order: g1*g2 must act
-    as g2 followed by g1."""
+    as g2 followed by g1.  The angle laws compare the int residues mod L
+    of `_residues(data)`; a failing law prints the stored angle and the
+    law's value Fraction(residue, L), the same reduced text as an angle."""
+    den, t1, t2 = res
     g12 = data.group.mul(g1, g2)
     a1 = data.alpha[g1]
     beta2 = data.beta[g2]
@@ -121,11 +138,11 @@ def _law_problems(data: ExtendedActionData, g1: int, g2: int) -> list[str]:
             f"alpha({g12})={data.alpha[g12]:+d} but product is "
             f"{a1 * data.alpha[g2]:+d}"
         )
-    expected1 = data.theta1[g1] + data.theta1[g2].scale(a1)
-    if data.theta1[g12] != expected1:
+    if t1[g12] != (expected1 := (t1[g1] + a1 * t1[g2]) % den):
         problems.append(
             f"theta1 twisted-cocycle law fails at ({g1},{g2}): "
-            f"theta1({g12})={data.theta1[g12]} but law gives {expected1}"
+            f"theta1({g12})={data.theta1[g12]} but law gives "
+            f"{Fraction(expected1, den)}"
         )
     composed = tuple(map(data.beta[g1].__getitem__, beta2))
     if data.beta[g12] != composed:
@@ -133,14 +150,13 @@ def _law_problems(data: ExtendedActionData, g1: int, g2: int) -> list[str]:
             f"beta is not a homomorphism at ({g1},{g2}): "
             f"beta({g12})={data.beta[g12]} but composition is {composed}"
         )
-    row1, row2, row12 = data.theta2[g1], data.theta2[g2], data.theta2[g12]
+    row1, row2, row12 = t2[g1], t2[g2], t2[g12]
     for i, j in enumerate(beta2):
-        expected2 = row1[j] + row2[i].scale(a1)
-        if row12[i] != expected2:
+        if row12[i] != (expected2 := (row1[j] + a1 * row2[i]) % den):
             problems.append(
                 f"theta2 twisted-cocycle law fails at ({g1},{g2}) on "
-                f"boundary {i}: theta2({g12},{i})={row12[i]} "
-                f"but law gives {expected2}"
+                f"boundary {i}: theta2({g12},{i})={data.theta2[g12][i]} "
+                f"but law gives {Fraction(expected2, den)}"
             )
     return problems
 
@@ -153,18 +169,22 @@ def verify_action(data: ExtendedActionData) -> list[str]:
     which they hold for every g are closed under products.  Checking (g, s)
     for s in the group's generating set, or (e, e) when that set is empty,
     thus covers every pair in O(N*|S|*n) steps.  Failing data gets the full
-    O(N^2*n) scan, so the report lists every violation in order.
+    O(N^2*n) scan, so the report lists every violation in order.  Angles
+    are compared as int residues mod the lcm L of the action's angle
+    denominators, with no angle arithmetic; the report text is that of
+    angle arithmetic.
     """
     group = data.group
     elements = group.elements()
     gens = group.generators or (group.identity,)
+    res = _residues(data)
     problems = []
-    if any(_law_problems(data, g, s) for g in elements for s in gens):
+    if any(_law_problems(data, res, g, s) for g in elements for s in gens):
         problems = [
             problem
             for g1 in elements
             for g2 in elements
-            for problem in _law_problems(data, g1, g2)
+            for problem in _law_problems(data, res, g1, g2)
         ]
     for g in group.elements():
         for i, j in enumerate(data.beta[g]):

@@ -71,12 +71,17 @@ class RationalAngle:
     """An element of Q/Z stored by its canonical representative in [0, 1).
 
     Models a point exp(2*pi*i*t) of the unit circle additively, so that
-    circle multiplication is angle addition.
+    circle multiplication is angle addition.  The value must be an int or
+    a Fraction; any other type raises TypeError.
     """
 
     value: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, (int, Fraction)):
+            raise TypeError(
+                f"angle value must be an int or Fraction, got {self.value!r}"
+            )
         object.__setattr__(self, "value", self.value % 1)
 
     def __add__(self, other: RationalAngle) -> RationalAngle:
