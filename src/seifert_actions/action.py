@@ -110,13 +110,13 @@ def _beta_problem(images: tuple[int, ...], n: int, first: int = 0) -> str | None
 
 
 def _residues(data: ExtendedActionData) -> tuple:
-    """(L, theta1, theta2) with every angle as its int residue mod L, the
-    lcm of all theta1 and theta2 denominators."""
+    """(L, theta1, theta2): L is the lcm of every theta1 and theta2
+    denominator, and each angle t in [0, 1) becomes the int t*L in [0, L)."""
     angles = (*data.theta1, *(t for row in data.theta2 for t in row))
     den = math.lcm(*(t.order for t in angles))
 
     def residue(t: RationalAngle) -> int:
-        return t.value.numerator * (den // t.value.denominator)
+        return t.value.numerator * (den // t.order)
 
     theta2 = tuple(tuple(map(residue, row)) for row in data.theta2)
     return den, tuple(map(residue, data.theta1)), theta2
@@ -169,10 +169,10 @@ def verify_action(data: ExtendedActionData) -> list[str]:
     which they hold for every g are closed under products.  Checking (g, s)
     for s in the group's generating set, or (e, e) when that set is empty,
     thus covers every pair in O(N*|S|*n) steps.  Failing data gets the full
-    O(N^2*n) scan, so the report lists every violation in order.  Angles
-    are compared as int residues mod the lcm L of the action's angle
-    denominators, with no angle arithmetic; the report text is that of
-    angle arithmetic.
+    O(N^2*n) scan, so the report lists every violation in order.  The angle
+    laws compare int residues mod the lcm L of the action's angle
+    denominators, not angles; the report prints the same reduced fractions
+    that angle arithmetic would.
     """
     group = data.group
     elements = group.elements()

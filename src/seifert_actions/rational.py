@@ -78,7 +78,7 @@ class RationalAngle:
     value: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, (int, Fraction)):
+        if not isinstance(self.value, (Fraction, int)):
             raise TypeError(
                 f"angle value must be an int or Fraction, got {self.value!r}"
             )

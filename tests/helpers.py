@@ -253,6 +253,51 @@ def evaluation_homomorphism_holds(data):
     return True
 
 
+def reference_law_report(data):
+    """Independent route to the `verify_action` report: the laws in angle
+    arithmetic at every one of the N^2 pairs, then the filling check."""
+    problems = []
+    for g1 in data.group.elements():
+        for g2 in data.group.elements():
+            g12 = data.group.mul(g1, g2)
+            a1 = data.alpha[g1]
+            beta2 = data.beta[g2]
+            if data.alpha[g12] != a1 * data.alpha[g2]:
+                problems.append(
+                    f"alpha is not a homomorphism at ({g1},{g2}): "
+                    f"alpha({g12})={data.alpha[g12]:+d} but product is "
+                    f"{a1 * data.alpha[g2]:+d}"
+                )
+            expected1 = data.theta1[g1] + data.theta1[g2].scale(a1)
+            if data.theta1[g12] != expected1:
+                problems.append(
+                    f"theta1 twisted-cocycle law fails at ({g1},{g2}): "
+                    f"theta1({g12})={data.theta1[g12]} but law gives {expected1}"
+                )
+            composed = tuple(data.beta[g1][j] for j in beta2)
+            if data.beta[g12] != composed:
+                problems.append(
+                    f"beta is not a homomorphism at ({g1},{g2}): "
+                    f"beta({g12})={data.beta[g12]} but composition is {composed}"
+                )
+            for i, j in enumerate(beta2):
+                expected2 = data.theta2[g1][j] + data.theta2[g2][i].scale(a1)
+                if data.theta2[g12][i] != expected2:
+                    problems.append(
+                        f"theta2 twisted-cocycle law fails at ({g1},{g2}) on "
+                        f"boundary {i}: theta2({g12},{i})={data.theta2[g12][i]} "
+                        f"but law gives {expected2}"
+                    )
+    for g in data.group.elements():
+        for i, j in enumerate(data.beta[g]):
+            if data.pairs[i] != data.pairs[j]:
+                problems.append(
+                    f"beta({g}) sends boundary {i} to {j} but the fillings "
+                    f"differ: {data.pairs[i]} vs {data.pairs[j]}"
+                )
+    return problems
+
+
 def random_angle(rng):
     return angle(rng.randrange(0, 12), rng.randrange(1, 13))
 

@@ -17,6 +17,7 @@ from helpers import (
     mixed_orbit_action,
     perturb_action,
     quaternion_action,
+    reference_law_report,
     reflection_z2,
     rotation_z3,
     standard_fixtures,
@@ -38,13 +39,12 @@ from seifert_actions.action import (
     verify_action,
 )
 from seifert_actions.groups import (
-    FiniteGroup,
     cyclic_group,
     dihedral_group,
     direct_product,
     format_group,
 )
-from seifert_actions.rational import ZERO_ANGLE, angle
+from seifert_actions.rational import ZERO_ANGLE, RationalAngle, angle
 from seifert_actions.seifert import SeifertPair, normalize, pair_problems, parse_presentation
 from seifert_actions.torus import IDENTITY, TorusAutomorphism, gluing_automorphism
 from seifert_actions.torus import conjugate_by_gluing
@@ -305,14 +305,6 @@ def test_kernel_is_normal():
                 assert group.mul(group.mul(g, k), group.inv(g)) in kernel
 
 
-def full_scan(data):
-    """verify_action with every element as a generator: its first check
-    then covers all N^2 pairs, so the report is the full scan's."""
-    group = FiniteGroup(data.group.order, data.group.identity, data.group.mul)
-    group.__dict__["generators"] = tuple(group.elements())
-    return verify_action(dataclasses.replace(data, group=group))
-
-
 PERTURBED_BASES = standard_fixtures() + [
     quaternion_action(),
     mixed_orbit_action(12, [(3, SeifertPair(2, 1)), (2, SeifertPair(5, 2))]),
@@ -326,7 +318,7 @@ PERTURBED_BASES = standard_fixtures() + [
 def test_generator_check_matches_full_scan_on_perturbed_actions(data, seed):
     mutated = perturb_action(data, Random(seed))
     report = verify_action(mutated)
-    assert report == full_scan(mutated)
+    assert report == reference_law_report(mutated)
     laws_hold = not any("law fails" in p or "homomorphism at" in p for p in report)
     assert laws_hold == evaluation_homomorphism_holds(mutated)
 
@@ -337,6 +329,19 @@ def test_trivial_group_is_checked_at_the_identity():
     assert verify_action(data) == [
         "alpha is not a homomorphism at (0,0): alpha(0)=-1 but product is +1"
     ]
+
+
+def test_law_check_does_no_angle_arithmetic(monkeypatch):
+    valid = mixed_orbit_action(12, [(3, SeifertPair(2, 1)), (2, SeifertPair(5, 2))])
+    perturbed = perturb_action(valid, Random(3))
+
+    def refuse(*args):
+        raise AssertionError("angle arithmetic in the law check")
+
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(RationalAngle, name, refuse)
+    assert verify_action(valid) == []
+    assert verify_action(perturbed) != []
 
 
 def test_action_file_round_trip(tmp_path):
@@ -352,7 +357,13 @@ def test_action_file_round_trip(tmp_path):
         assert parsed == data
 
 
-ANGLES = st.builds(angle, st.integers(-30, 30), st.integers(1, 12))
+# Large pairwise-coprime denominators put the action's common denominator
+# far above 2**32.
+ANGLES = st.builds(
+    angle,
+    st.integers(-70000, 70000),
+    st.one_of(st.integers(1, 12), st.sampled_from([97, 101, 65537, 2**31 - 1])),
+)
 PAIRS = st.builds(SeifertPair, st.integers(1, 40), st.integers(-99, 99)).filter(
     lambda pair: not pair_problems((pair,))
 )
@@ -384,7 +395,7 @@ def test_action_file_round_trip_property(data):
 @PROPERTY
 @given(structurally_valid_actions())
 def test_generator_check_matches_full_scan_on_random_data(data):
-    assert verify_action(data) == full_scan(data)
+    assert verify_action(data) == reference_law_report(data)
 
 
 def test_action_parse_errors_cite_lines(tmp_path):

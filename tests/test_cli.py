@@ -1,11 +1,20 @@
+from random import Random
+
 import pytest
 
-from helpers import dihedral_d3_action, klein_action, reflection_z2, rotation_z3
+from helpers import (
+    dihedral_d3_action,
+    klein_action,
+    mixed_orbit_action,
+    perturb_action,
+    reflection_z2,
+    rotation_z3,
+)
 from seifert_actions import __version__
-from seifert_actions.action import format_action
+from seifert_actions.action import format_action, verify_action
 from seifert_actions.cli import main
 from seifert_actions.groups import format_group
-from seifert_actions.seifert import parse_presentation
+from seifert_actions.seifert import SeifertPair, parse_presentation
 
 
 def run(capsys, *argv):
@@ -251,6 +260,27 @@ def test_rejects_invalid_action_for_evaluation(capsys, tmp_path):
     (tmp_path / "action.txt").write_text(bad, encoding="utf-8")
     code, _, err = run(capsys, "structure", path)
     assert code == 2 and "not a valid action" in err
+
+
+def test_action_verbs_report_the_first_violation_of_a_large_action(capsys, tmp_path):
+    base = mixed_orbit_action(
+        24, [(4, SeifertPair(2, 1)), (3, SeifertPair(5, 2)), (1, SeifertPair(3, 1))]
+    )
+    data = perturb_action(base, Random(8))
+    problems = verify_action(data)
+    assert len(problems) > 1
+    path = write_action(tmp_path, data)
+    expected = (
+        f"error: {path} is not a valid action: {problems[0]} "
+        f"(+{len(problems) - 1} more)\n"
+    )
+    for argv in (
+        ["boundary-action", path, "--element", "1", "--index", "1"],
+        ["orbits", path],
+        ["structure", path],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", expected)
 
 
 def test_non_coprime_pairs_cite_the_pairs_line(capsys, tmp_path):

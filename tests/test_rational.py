@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ from helpers import PROPERTY
 
 from seifert_actions.rational import (
     ZERO_ANGLE,
+    RationalAngle,
     angle,
     parse_fraction,
     parse_int,
@@ -71,6 +73,14 @@ def test_scale_matches_repeated_addition():
             if k < 0:
                 total = -total
             assert a.scale(k) == total
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2"])
+def test_angle_accepts_only_int_or_fraction(value):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RationalAngle(value)
+    assert RationalAngle(Fraction(1, 2)) == RationalAngle(Fraction(3, 2))
+    assert str(RationalAngle(-3)) == "0"
 
 
 def test_parse_and_format_fraction():
