@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file
+from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file, read_utf8
 from .obstruction import ObstructionWitness, decompose
 from .rational import RationalAngle, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
@@ -196,11 +196,19 @@ def verify_action(data: ExtendedActionData) -> list[str]:
     return problems
 
 
+def _require_element_and_index(data: ExtendedActionData, g: int, i: int) -> None:
+    if not 0 <= g < data.group.order:
+        raise ActionDataError(f"element {g} out of range 0..{data.group.order - 1}")
+    if not 0 <= i < data.n_boundary:
+        raise ActionDataError(f"boundary index {i} out of range 0..{data.n_boundary - 1}")
+
+
 def boundary_action(
     data: ExtendedActionData, g: int, i: int
 ) -> tuple[int, TorusAutomorphism]:
     """Action of g on boundary torus i of the fibered piece: the target
     index and the map (u, v) -> (theta1(g) u^alpha, theta2(i,g) v^alpha)."""
+    _require_element_and_index(data, g, i)
     a = data.alpha[g]
     return data.beta[g][i], TorusAutomorphism(
         a, 0, 0, a, data.theta1[g], data.theta2[g][i]
@@ -215,6 +223,7 @@ def induced_filling_action(
 
     Equals the boundary action conjugated by the attaching map, exactly.
     """
+    _require_element_and_index(data, g, i)
     pair = data.pairs[i]
     gp = seifert.gluing_pair(pair)
     a = data.alpha[g]
@@ -384,9 +393,11 @@ def parse_action_text(
         if key is None:
             raise ActionFormatError(f"{where}: expected 'key: value'")
         if key == "group":
+            if not value:
+                raise ActionFormatError(f"{where}: empty group file name")
             try:
                 group = parse_group_file(Path(base_dir) / value)
-            except GroupTableError as exc:
+            except (GroupTableError, OSError) as exc:
                 raise ActionFormatError(f"{where}: {exc}") from None
         elif key == "pairs":
             try:
@@ -423,7 +434,7 @@ def parse_action_text(
 def parse_action_file(path: str | Path) -> ExtendedActionData:
     path = Path(path)
     return parse_action_text(
-        path.read_text(encoding="utf-8"), base_dir=path.parent, source=str(path)
+        read_utf8(path, ActionFormatError), base_dir=path.parent, source=str(path)
     )
 
 

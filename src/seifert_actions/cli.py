@@ -148,10 +148,6 @@ def _cmd_torus_map(query: str, args) -> int:
     """boundary-action and filling-action: the library query `query` for
     one element on one boundary torus of a verified action."""
     data = _load_verified_action(args.action_file)
-    if not 0 <= args.element < data.group.order:
-        raise ValueError(
-            f"element {args.element} out of range 0..{data.group.order - 1}"
-        )
     if not 1 <= args.index <= data.n_boundary:
         raise ValueError(f"boundary index {args.index} out of range 1..{data.n_boundary}")
     # looked up per call, so that wrappers installed on the module are seen

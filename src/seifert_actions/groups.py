@@ -1,11 +1,12 @@
-"""Finite groups given by their order, identity and product.
+"""Finite groups given by their order and product.
 
-Elements are the indices 0..N-1 and `mul(a, b)` is the product a*b.  The
-built-in groups multiply by formula; a multiplication table exists only for
-a group file.  Such a table is checked entry by entry for range, the Latin
-property and an identity, and for associativity by Light's test on a
-generating set (`validate_group`), in O(N^2 log N) steps instead of O(N^3).
-Orders stay small, so subgroup questions are answered by direct scans.
+Elements are the indices 0..N-1, `mul(a, b)` is the product a*b and element
+0 is the identity.  The built-in groups multiply by formula; a
+multiplication table exists only for a group file.  Such a table is checked
+entry by entry for range, the Latin property and the identity at 0, and for
+associativity by Light's test on a generating set (`validate_group`), in
+O(N^2 log N) steps instead of O(N^3).  Orders stay small, so subgroup
+questions are answered by direct scans.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .rational import parse_int, parse_int_list
 
@@ -39,27 +40,24 @@ class GroupTableError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group on 0..order-1 with product `mul(a, b)`.  `table` is built
-    from `mul` on first use; equality compares identity and table, and the
-    hash uses only (order, identity), so hashing builds no table."""
+    """A group on 0..order-1 with product `mul(a, b)` and identity 0.
+    Equality compares the products through `mul` and stops at the first
+    difference; the hash is the order's."""
 
     order: int
-    identity: int
     mul: Callable[[int, int], int]
+    identity: ClassVar[int] = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return (self.identity, self.table) == (other.identity, other.table)
+        elements = self.elements()
+        return self.order == other.order and all(
+            self.mul(a, b) == other.mul(a, b) for a in elements for b in elements
+        )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.identity))
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """All N^2 products: table[a][b] = a*b."""
-        elements = self.elements()
-        return tuple(tuple(self.mul(a, b) for b in elements) for a in elements)
+        return hash(self.order)
 
     def elements(self) -> range:
         return range(self.order)
@@ -95,13 +93,13 @@ class FiniteGroup:
 def validate_group(table: list[list[int]]) -> FiniteGroup:
     """Check the group axioms; raise on the first failure.
 
-    Range, Latin property and identity are checked entry by entry.
-    Associativity uses Light's test: (a*s)*c = a*(s*c) for all a, c and
-    each s in a generating set.  The s that pass are closed under products,
-    and every element is a product of generators (`generated_subgroup`), so
-    they are the whole table.  A failing table gets the full O(N^3) scan,
-    which names the first failing triple.  The group returned reads its
-    products from the rows.
+    Range, Latin property and the identity at element 0 are checked entry
+    by entry.  Associativity uses Light's test: (a*s)*c = a*(s*c) for all
+    a, c and each s in a generating set.  The s that pass are closed under
+    products, and every element is a product of generators
+    (`generated_subgroup`), so they are the whole table.  A failing table
+    gets the full O(N^3) scan, which names the first failing triple.  The
+    group returned reads its products from the rows.
     """
     n = len(table)
     if n == 0:
@@ -118,15 +116,10 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
             raise GroupTableError(f"row {g} is not a permutation (table not Latin)")
         if {table[h][g] for h in range(n)} != full:
             raise GroupTableError(f"column {g} is not a permutation (table not Latin)")
-    identity = None
-    for e in range(n):
-        if all(table[e][g] == g and table[g][e] == g for g in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise GroupTableError("no identity element")
+    if any(table[0][g] != g or table[g][0] != g for g in range(n)):
+        raise GroupTableError("element 0 is not the identity")
     rows = tuple(map(tuple, table))
-    group = FiniteGroup(n, identity, lambda a, b: rows[a][b])
+    group = FiniteGroup(n, lambda a, b: rows[a][b])
     for s in group.generators:
         row_s = rows[s]
         for row_a in rows:
@@ -155,7 +148,7 @@ def _raise_first_associativity_failure(rows) -> None:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupTableError(f"cyclic group order must be positive, got {n}")
-    return FiniteGroup(n, 0, lambda a, b: (a + b) % n)
+    return FiniteGroup(n, lambda a, b: (a + b) % n)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -168,7 +161,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         b1, b2 = divmod(b, n2)
         return mul1(a1, b1) * n2 + mul2(a2, b2)
 
-    return FiniteGroup(g1.order * n2, g1.identity * n2 + g2.identity, mul)
+    return FiniteGroup(g1.order * n2, mul)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -182,7 +175,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         rot = (ra + rb) % n if fa == 0 else (ra - rb) % n
         return rot + n * (fa ^ fb)
 
-    return FiniteGroup(2 * n, 0, mul)
+    return FiniteGroup(2 * n, mul)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -207,7 +200,7 @@ def quaternion_group() -> FiniteGroup:
         s *= sx * sy
         return axis if s == 1 else axis + 4
 
-    return FiniteGroup(8, 0, mul)
+    return FiniteGroup(8, mul)
 
 
 def is_subgroup(group: FiniteGroup, elements: list[int]) -> bool:
@@ -266,10 +259,8 @@ def keyed_lines(text: str, source: str, error: type[ValueError]):
 
 
 def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
-    """Parse the group file format: `order: N` then N rows of N indices.
-
-    The identity must be element 0.
-    """
+    """Parse the group file format: `order: N` then N rows of N indices,
+    checked by `validate_group`."""
     header = None
     rows: list[tuple[int, ...]] = []
     for where, key, value in keyed_lines(text, source, GroupTableError):
@@ -291,19 +282,25 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
         raise GroupTableError(
             f"{source}: expected {header} table rows, found {len(rows)}"
         )
-    group = validate_group(rows)
-    if group.identity != 0:
-        raise GroupTableError(f"{source}: identity is {group.identity}, must be 0")
-    return group
+    return validate_group(rows)
+
+
+def read_utf8(path: Path, error: type[ValueError]) -> str:
+    """The text of a group or action file; a file that is not UTF-8 raises
+    `error` naming the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def parse_group_file(path: str | Path) -> FiniteGroup:
     path = Path(path)
-    return parse_group_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_group_text(read_utf8(path, GroupTableError), source=str(path))
 
 
 def format_group(group: FiniteGroup) -> str:
+    elements = group.elements()
     lines = [f"order: {group.order}"]
-    for row in group.table:
-        lines.append(" ".join(str(v) for v in row))
+    lines.extend(" ".join(str(group.mul(a, b)) for b in elements) for a in elements)
     return "\n".join(lines) + "\n"

@@ -103,9 +103,6 @@ def decompose(b: int, orbit_numbers: list[int]) -> ObstructionWitness | None:
         tail_gcd = math.gcd(*tail)
         g = math.gcd(o, tail_gcd)
         modulus = tail_gcd // g
-        if modulus == 1:
-            coefficients.append(0)
-            continue
         # solve c * o = remaining (mod tail_gcd)
         inv = pow(o // g, -1, modulus)
         c = _balanced_residue((remaining // g) * inv, modulus)
@@ -129,6 +126,8 @@ def orbit_constancy_check(h: HFunction, orbit_partition: list[list[int]]) -> boo
     covered = sorted(slot for part in orbit_partition for slot in part)
     if covered != list(range(len(h.values))):
         raise ValueError("orbit partition must cover every slot exactly once")
+    if not all(orbit_partition):
+        raise ValueError("orbit partition classes must be nonempty")
     return all(
         len({h.values[slot] for slot in part}) == 1 for part in orbit_partition
     )

@@ -94,7 +94,7 @@ class RationalAngle:
         return RationalAngle(-self.value)
 
     def scale(self, k: int) -> RationalAngle:
-        # k = 1, the untwisted case of every action law, needs no arithmetic
+        # k = 1, as for the unit matrix entries in `torus.compose`, needs no arithmetic
         return self if k == 1 else RationalAngle(self.value * k)
 
     def is_zero(self) -> bool:

@@ -136,8 +136,7 @@ def gluing_automorphism(pair: SeifertPair) -> TorusAutomorphism:
     The matrix is [[x, p], [y, q]] with x*q - y*p = -1, sending the solid
     torus framing to the framing of the boundary torus it fills.
     """
-    gp = gluing_pair(pair)
-    return TorusAutomorphism(gp.x, pair.p, gp.y, pair.q)
+    return TorusAutomorphism(*gluing_pair(pair).matrix())
 
 
 def format_automorphism(f: TorusAutomorphism) -> str:

@@ -157,6 +157,19 @@ def test_filling_action_examples():
     assert auto.matrix() == (-1, 0, 0, -1)
 
 
+def test_queries_reject_out_of_range_element_and_index():
+    data = rotation_z3()
+    for query in (boundary_action, induced_filling_action):
+        for g, i, message in [
+            (-1, 0, "element -1 out of range 0..2"),
+            (3, 0, "element 3 out of range 0..2"),
+            (0, -1, "boundary index -1 out of range 0..2"),
+            (0, 3, "boundary index 3 out of range 0..2"),
+        ]:
+            with pytest.raises(ActionDataError, match=f"^{re.escape(message)}$"):
+                query(data, g, i)
+
+
 def test_filling_action_matches_conjugation_on_fixtures():
     for data in standard_fixtures() + [quaternion_action()]:
         for g in data.group.elements():

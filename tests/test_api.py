@@ -1,14 +1,17 @@
-"""The public names of the library, and the names the benchmark wraps, exist."""
+"""The public names of the library, the names the benchmark wraps and the
+README's library example all exist and work."""
 
 import importlib
 import pkgutil
+import re
 import runpy
 from functools import reduce
 from pathlib import Path
 
 import seifert_actions
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 def library_modules():
@@ -39,3 +42,11 @@ def test_every_benchmark_span_target_exists():
                 reduce(getattr, attr.split("."), modules[module])
             except AttributeError:
                 raise AssertionError(f"span {span}: {module}.{attr} does not exist") from None
+
+
+def test_readme_python_examples_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -308,6 +308,31 @@ def test_group_file_errors_cite_the_group_line(capsys, tmp_path):
     assert err.endswith("is not a permutation (table not Latin)\n")
 
 
+def test_unreadable_files_are_named(capsys, tmp_path):
+    path = write_action(tmp_path, rotation_z3())
+    action_file = tmp_path / "action.txt"
+    text = action_file.read_text(encoding="utf-8")
+    missing = str(tmp_path / "nowhere.txt")
+    # a missing group file and an empty `group:` value are errors of the group line
+    for line, message in [
+        ("group: nowhere.txt", f"[Errno 2] No such file or directory: {missing!r}"),
+        ("group:", "empty group file name"),
+    ]:
+        action_file.write_text(text.replace("group: action_group.txt", line), encoding="utf-8")
+        assert run(capsys, "verify-action", path) == (2, "", f"error: {path}:1: {message}\n")
+    # a file that is not UTF-8 is named, whether it is the group or the action file
+    action_file.write_text(text, encoding="utf-8")
+    group_file = tmp_path / "action_group.txt"
+    group_file.write_bytes(group_file.read_bytes() + b"# caf\xe9\n")
+    code, out, err = run(capsys, "verify-action", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:1: {group_file}: 'utf-8' codec can't decode byte 0xe9")
+    action_file.write_bytes(text.encode("utf-8") + b"# caf\xe9\n")
+    code, out, err = run(capsys, "verify-action", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "orbits", "no_such_file.txt")
     assert code == 2 and "error:" in err

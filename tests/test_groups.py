@@ -24,6 +24,11 @@ from seifert_actions.groups import (
 )
 
 
+def rows(group):
+    """The multiplication table of `group`, as `validate_group` reads it."""
+    return [[group.mul(a, b) for b in group.elements()] for a in group.elements()]
+
+
 def test_validate_group_accepts_z2():
     group = validate_group([[0, 1], [1, 0]])
     assert group.order == 2 and group.identity == 0
@@ -32,7 +37,7 @@ def test_validate_group_accepts_z2():
 
 def test_validate_group_accepts_klein():
     klein = direct_product(cyclic_group(2), cyclic_group(2))
-    group = validate_group([list(row) for row in klein.table])
+    group = validate_group(rows(klein))
     assert group.order == 4
     assert all(group.mul(g, g) == 0 for g in group.elements())
 
@@ -55,11 +60,11 @@ def test_validate_group_rejects_non_associative():
     with pytest.raises(GroupTableError, match=re.escape(message)):
         validate_group(table)
     # times Z2, the first generator (e, 1) passes Light's test; a later one fails
-    loop = direct_product(FiniteGroup(5, 0, lambda a, b: table[a][b]), cyclic_group(2))
+    loop = direct_product(FiniteGroup(5, lambda a, b: table[a][b]), cyclic_group(2))
     assert loop.generators == (1, 2, 4)
     message = "associativity fails at (2,2,4): (2*2)*4=4 but 2*(2*4)=8"
     with pytest.raises(GroupTableError, match=re.escape(message)):
-        validate_group([list(row) for row in loop.table])
+        validate_group(rows(loop))
 
 
 @st.composite
@@ -142,7 +147,7 @@ def test_constructors_are_groups():
         direct_product(cyclic_group(2), cyclic_group(3)),
         quaternion_group(),
     ):
-        validate_group([list(row) for row in group.table])
+        validate_group(rows(group))
         assert group.identity == 0
 
 
@@ -215,6 +220,8 @@ def test_built_in_groups_store_no_table():
         assert z.mul(1999, 3) == 2 and z.mul(700, 1300) == 0
         assert d.mul(1, 1000) == 1001 and d.mul(1000, 1) == 1999
         assert d.mul(1500, 1500) == 0
+        # equality compares products one at a time, without a table
+        assert cyclic_group(400) == cyclic_group(400)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -266,8 +273,19 @@ def test_parse_group_text_errors():
     with pytest.raises(GroupTableError, match=":3:"):
         parse_group_text("order: 2\n0 1\n1 x\n")
     # identity must be element 0
-    with pytest.raises(GroupTableError, match="identity"):
+    with pytest.raises(GroupTableError, match="^element 0 is not the identity$"):
         parse_group_text("order: 2\n1 0\n0 1\n")
+    # D3 with its identity relabeled to element k, by swapping labels 0 and k
+    d3 = dihedral_group(3)
+    for k in range(1, 6):
+        label = list(d3.elements())
+        label[0], label[k] = k, 0
+        table = [[0] * 6 for _ in range(6)]
+        for a in d3.elements():
+            for b in d3.elements():
+                table[label[a]][label[b]] = label[d3.mul(a, b)]
+        with pytest.raises(GroupTableError, match="^element 0 is not the identity$"):
+            validate_group(table)
     with pytest.raises(GroupTableError, match=":3: repeated key 'order'"):
         parse_group_text("order: 1\n# comment\norder: 1\n0\n")
     with pytest.raises(GroupTableError, match=":3: expected a table row"):

@@ -112,6 +112,12 @@ def test_orbit_constancy_check():
         orbit_constancy_check(HFunction((1, 2)), [[0]])
     with pytest.raises(ValueError):
         orbit_constancy_check(HFunction((1, 2)), [[0], [0, 1]])
+    # an empty class is not an orbit; it is rejected, not read as "h not constant"
+    with pytest.raises(ValueError, match="nonempty"):
+        orbit_constancy_check(HFunction((1,)), [[0], []])
+    with pytest.raises(ValueError, match="nonempty"):
+        rewrite_presentation(normalize(parse_presentation("(0,o1|(1,1))")),
+                             HFunction((1,)), [[0], []])
 
 
 def test_rewrite_known_values():
