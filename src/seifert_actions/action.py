@@ -243,7 +243,8 @@ class SolidTorusPoint:
     """Point (u, r, v) of S^1 x D with the disc in polar form.
 
     The meridian angle is meaningless on the core circle, so it is
-    canonicalized to 0 whenever r = 0.
+    canonicalized to 0 whenever r = 0.  The radius must be an int or a
+    Fraction; any other type raises TypeError.
     """
 
     longitude: RationalAngle
@@ -251,6 +252,8 @@ class SolidTorusPoint:
     meridian: RationalAngle
 
     def __post_init__(self) -> None:
+        if not isinstance(self.radius, (Fraction, int)):
+            raise TypeError(f"radius must be an int or Fraction, got {self.radius!r}")
         if not 0 <= self.radius <= 1:
             raise ValueError(f"radius must lie in [0, 1], got {self.radius}")
         if self.radius == 0 and not self.meridian.is_zero():

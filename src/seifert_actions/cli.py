@@ -4,6 +4,10 @@ Exit statuses: 0 for success or a positive decision, 3 for a negative
 decision (not equivalent, obstruction unsatisfied, invalid data), 2 for
 parse or usage errors.  Output is plain text and byte-for-byte
 deterministic for identical inputs.
+
+Each handler imports the library modules its verb uses when it runs, so a
+call loads only those, and `--help`, `--version` and usage errors load
+none.  Handlers call library functions as attributes of their module.
 """
 
 from __future__ import annotations
@@ -13,12 +17,6 @@ import functools
 import sys
 
 from . import __version__
-from . import action as action_mod
-from . import obstruction as obstruction_mod
-from . import orbifold as orbifold_mod
-from . import seifert
-from . import structure as structure_mod
-from .rational import parse_int, parse_int_list
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -33,6 +31,8 @@ _INPUT_ERRORS = (
 def _parse_partition(text: str) -> list[list[int]]:
     """Classes separated by ';', 1-based slots separated by ','; no class
     is empty."""
+    from .rational import parse_int_list
+
     classes = []
     for part in text.split(";"):
         slots = parse_int_list(part, ValueError, f"bad partition list: {part!r}")
@@ -42,7 +42,9 @@ def _parse_partition(text: str) -> list[list[int]]:
     return classes
 
 
-def _load_verified_action(path: str) -> action_mod.ExtendedActionData:
+def _load_verified_action(path: str):
+    from . import action as action_mod
+
     data = action_mod.parse_action_file(path)
     problems = action_mod.verify_action(data)
     if problems:
@@ -60,30 +62,40 @@ def _decide(positive: bool, yes: str, no: str) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import seifert
+
     pres = seifert.parse_presentation(args.presentation)
     problems = seifert.validate(pres)
     return _decide(not problems, "ok", "\n".join(problems))
 
 
 def _cmd_normalize(args) -> int:
+    from . import seifert
+
     pres = seifert.parse_presentation(args.presentation)
     print(seifert.format_normalized(seifert.normalize(pres)))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
+    from . import seifert
+
     a = seifert.parse_presentation(args.presentation_a)
     b = seifert.parse_presentation(args.presentation_b)
     return _decide(seifert.equivalent(a, b), "equivalent", "not equivalent")
 
 
 def _cmd_euler(args) -> int:
+    from . import seifert
+
     pres = seifert.parse_presentation(args.presentation)
     print(seifert.euler_number(pres))
     return EXIT_OK
 
 
 def _cmd_glue_pair(args) -> int:
+    from . import seifert
+
     pair = seifert.parse_pair(args.pair)
     gp = seifert.gluing_pair(pair)
     fq, fy = seifert.induced_fibration(gp)
@@ -93,6 +105,8 @@ def _cmd_glue_pair(args) -> int:
 
 
 def _cmd_orbifold_chi(args) -> int:
+    from . import orbifold as orbifold_mod
+
     orb = orbifold_mod.parse_orbifold(args.orbifold)
     print(orbifold_mod.euler_characteristic(orb))
     if args.sign:
@@ -101,6 +115,8 @@ def _cmd_orbifold_chi(args) -> int:
 
 
 def _cmd_orbit_numbers(args) -> int:
+    from . import orbifold as orbifold_mod
+
     orb = orbifold_mod.parse_orbifold(args.orbifold)
     numbers = orbifold_mod.possible_orbit_numbers(args.order, orb)
     print(" ".join(str(n) for n in sorted(numbers)))
@@ -108,6 +124,9 @@ def _cmd_orbit_numbers(args) -> int:
 
 
 def _cmd_check_obstruction(args) -> int:
+    from . import obstruction as obstruction_mod
+    from . import orbifold as orbifold_mod
+
     orb = orbifold_mod.parse_orbifold(args.orbifold)
     divisor = obstruction_mod.obstruction_divisor(args.order, orb)
     print(f"divisor: {divisor}")
@@ -116,6 +135,9 @@ def _cmd_check_obstruction(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import obstruction as obstruction_mod
+    from .rational import parse_int_list
+
     orbits = parse_int_list(args.orbits, ValueError, f"bad orbit list: {args.orbits!r}")
     witness = obstruction_mod.decompose(args.b, orbits)
     if witness is None:
@@ -126,6 +148,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
+    from . import obstruction as obstruction_mod
+    from . import seifert
+    from .rational import parse_int_list
+
     pres = seifert.parse_presentation(args.presentation)
     norm = seifert.normalize(pres)
     h = obstruction_mod.HFunction(
@@ -139,6 +165,8 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_verify_action(args) -> int:
+    from . import action as action_mod
+
     data = action_mod.parse_action_file(args.action_file)
     problems = action_mod.verify_action(data)
     return _decide(not problems, "ok", "\n".join(problems))
@@ -147,6 +175,8 @@ def _cmd_verify_action(args) -> int:
 def _cmd_torus_map(query: str, args) -> int:
     """boundary-action and filling-action: the library query `query` for
     one element on one boundary torus of a verified action."""
+    from . import action as action_mod
+
     data = _load_verified_action(args.action_file)
     if not 1 <= args.index <= data.n_boundary:
         raise ValueError(f"boundary index {args.index} out of range 1..{data.n_boundary}")
@@ -158,6 +188,8 @@ def _cmd_torus_map(query: str, args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from . import action as action_mod
+
     data = _load_verified_action(args.action_file)
     sizes = action_mod.boundary_orbit_numbers(data)
     for i in range(data.n_boundary):
@@ -166,10 +198,19 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_structure(args) -> int:
+    from . import structure as structure_mod
+
     data = _load_verified_action(args.action_file)
     report = structure_mod.structure_report(data)
     sys.stdout.write(structure_mod.format_report(report))
     return EXIT_OK
+
+
+def _parse_int(text: str) -> int:
+    """`rational.parse_int`, imported on the first integer argument."""
+    from .rational import parse_int
+
+    return parse_int(text)
 
 
 # An argument is a positional name, or (flag, add_argument keywords).
@@ -235,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text)
         # `type=int` arguments read the shared integer grammar; argparse
         # still reports a bad one as "invalid int value"
-        p.register("type", int, parse_int)
+        p.register("type", int, _parse_int)
         for argument in arguments:
             name, keywords = (argument, {}) if isinstance(argument, str) else argument
             p.add_argument(name, **keywords)

@@ -29,6 +29,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TorusAutomorphism:
+    """The matrix entries must be ints (any other type raises TypeError)
+    forming a matrix of determinant +-1 (otherwise ValueError)."""
+
     m11: int
     m12: int
     m21: int
@@ -37,6 +40,11 @@ class TorusAutomorphism:
     phase2: RationalAngle = ZERO_ANGLE
 
     def __post_init__(self) -> None:
+        if not (
+            isinstance(self.m11, int) and isinstance(self.m12, int)
+            and isinstance(self.m21, int) and isinstance(self.m22, int)
+        ):
+            raise TypeError(f"matrix entries must be ints, got {self.matrix()!r}")
         if abs(self.det) != 1:
             raise ValueError(
                 f"matrix [[{self.m11},{self.m12}],[{self.m21},{self.m22}]] "

@@ -1,6 +1,10 @@
 """Action fixtures and independent oracles shared across the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -16,8 +20,19 @@ from seifert_actions.seifert import SeifertPair, SeifertPresentation
 from seifert_actions.torus import compose
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # Property tests run a fixed, bounded set of examples and keep no database.
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+def run_python(code, *argv):
+    """stdout of `python -c code argv...` in a fresh interpreter that
+    imports the package from the source tree and writes no bytecode."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def random_presentation(rng, max_q=50, max_p=200, max_pairs=6):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -231,6 +232,13 @@ def test_solid_torus_eval():
         solid_torus_eval(TorusAutomorphism(1, 1, 0, 1), point)
     with pytest.raises(ValueError):
         SolidTorusPoint(angle(0), Fraction(3, 2), angle(0))
+
+
+@pytest.mark.parametrize("radius", [0.5, Decimal("0.5"), "1/2"])
+def test_solid_torus_radius_must_be_int_or_fraction(radius):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        SolidTorusPoint(angle(1, 3), radius, angle(1, 4))
+    assert SolidTorusPoint(angle(1, 3), 1, angle(1, 4)).radius == 1
 
 
 def test_boundary_orbit_numbers():

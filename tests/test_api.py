@@ -8,7 +8,11 @@ import runpy
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import seifert_actions
+from helpers import run_python
+from seifert_actions import seifert
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PY = ROOT / "perfbench" / "spans.py"
@@ -29,6 +33,39 @@ def test_every_exported_name_resolves():
             assert hasattr(module, attr), f"{name}.__all__ lists missing {attr!r}"
             exported += 1
     assert exported > 0
+
+
+def test_every_package_export_resolves_and_is_listed():
+    modules = library_modules().values()
+    listed = dir(seifert_actions)
+    for name in seifert_actions.__all__:
+        value = getattr(seifert_actions, name)
+        assert any(getattr(module, name, None) is value for module in modules), name
+        assert name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seifert_actions.no_such_name
+
+
+def test_package_exports_read_the_defining_module_on_each_use(monkeypatch):
+    # a wrapper installed on a module, as the benchmark's spans do, is seen
+    # through the package, and so is its removal
+    original = seifert.euler_number
+    monkeypatch.setattr(seifert, "euler_number", len)
+    assert seifert_actions.euler_number is len
+    monkeypatch.undo()
+    assert seifert_actions.euler_number is original
+
+
+def test_star_import_in_a_fresh_interpreter():
+    out = run_python(
+        "import sys\n"
+        "import seifert_actions\n"
+        "print(sorted(m for m in sys.modules if m.startswith('seifert_actions')))\n"
+        "names = {}\n"
+        "exec('from seifert_actions import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(seifert_actions.__all__))\n"
+    )
+    assert out == "['seifert_actions']\nTrue\n"
 
 
 def test_every_benchmark_span_target_exists():

@@ -9,6 +9,7 @@ from helpers import (
     perturb_action,
     reflection_z2,
     rotation_z3,
+    run_python,
 )
 from seifert_actions import __version__
 from seifert_actions.action import format_action, verify_action
@@ -353,3 +354,49 @@ def test_deterministic_output(capsys, tmp_path):
         _, out, _ = run(capsys, "structure", path)
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# Runs cli.main(argv) in a fresh interpreter, then prints the exit status and
+# the package modules loaded.
+LOADED_MODULES = """
+import contextlib, io, sys
+from seifert_actions import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "seifert_actions"))
+"""
+BASE = {"seifert_actions", "seifert_actions.cli"}
+ACTION_MODULES = {f"seifert_actions.{m}" for m in ("action", "groups", "torus", "structure")}
+
+
+def loaded_modules(*argv):
+    code, *modules = run_python(LOADED_MODULES, *argv).split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], (0, BASE)),
+    (["euler"], (2, BASE)),  # usage error: no presentation
+    (["euler", "(0,o1|(3,2))"],
+     (0, BASE | {"seifert_actions.rational", "seifert_actions.seifert"})),
+], ids=["help", "usage-error", "euler"])
+def test_verb_loads_only_the_modules_it_needs(argv, expected):
+    assert loaded_modules(*argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--b", "5", "--orbits", "2,3"],
+    ["orbifold-chi", "genus:0 cone:(2,3,5) corner:()"],
+], ids=["decompose", "orbifold-chi"])
+def test_non_action_verbs_load_no_action_module(argv):
+    code, loaded = loaded_modules(*argv)
+    assert code == 0 and not loaded & ACTION_MODULES
+
+
+def test_verify_action_loads_no_structure_module(tmp_path):
+    code, loaded = loaded_modules("verify-action", write_action(tmp_path, rotation_z3()))
+    assert code == 0 and "seifert_actions.action" in loaded
+    assert "seifert_actions.structure" not in loaded

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -23,6 +24,12 @@ def test_determinant_constraint():
     with pytest.raises(ValueError):
         TorusAutomorphism(2, 0, 0, 1)
     TorusAutomorphism(0, 1, 1, 0)  # det -1 is fine
+
+
+@pytest.mark.parametrize("entries", [(Fraction(1, 2), 0, 0, 2), (0.5, 0, 0, 2.0), (1, 0, 0, 1.0)])
+def test_matrix_entries_must_be_ints(entries):
+    with pytest.raises(TypeError, match="must be ints"):
+        TorusAutomorphism(*entries)
 
 
 def test_compose_examples():
