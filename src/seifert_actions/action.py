@@ -9,6 +9,9 @@ are checked value-by-value, never assumed.
 
 Composition convention: beta(g1*g2) = beta(g1) o beta(g2), i.e. the group
 acts on boundary indices from the left.
+
+`torus` and `obstruction` are imported by the functions that use them, so
+checking an action loads neither.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file, read_utf8
-from .obstruction import ObstructionWitness, decompose
 from .rational import RationalAngle, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
-from .torus import TorusAutomorphism
 from . import seifert
+
+if TYPE_CHECKING:
+    from .obstruction import ObstructionWitness
+    from .torus import TorusAutomorphism
 
 __all__ = [
     "ActionDataError",
@@ -208,6 +214,8 @@ def boundary_action(
 ) -> tuple[int, TorusAutomorphism]:
     """Action of g on boundary torus i of the fibered piece: the target
     index and the map (u, v) -> (theta1(g) u^alpha, theta2(i,g) v^alpha)."""
+    from .torus import TorusAutomorphism
+
     _require_element_and_index(data, g, i)
     a = data.alpha[g]
     return data.beta[g][i], TorusAutomorphism(
@@ -223,6 +231,8 @@ def induced_filling_action(
 
     Equals the boundary action conjugated by the attaching map, exactly.
     """
+    from .torus import TorusAutomorphism
+
     _require_element_and_index(data, g, i)
     pair = data.pairs[i]
     gp = seifert.gluing_pair(pair)
@@ -305,6 +315,8 @@ def action_obstruction_check(
     action; orbit numbers of interior regular fibers, which the boundary
     data cannot see, may be supplied by the caller.
     """
+    from .obstruction import decompose
+
     critical = sorted(pair for pair in data.pairs if pair.q >= 2)
     if critical != sorted(pres.pairs):
         raise ActionDataError(
@@ -329,16 +341,25 @@ def kernel_on_boundary(data: ExtendedActionData) -> list[int]:
     ]
 
 
-def _parse_angle(text: str, where: str) -> RationalAngle:
-    try:
-        return RationalAngle(parse_fraction(text))
-    except ValueError:
-        raise ActionFormatError(f"{where}: bad angle {text!r}") from None
+def _parse_angle(text: str, where: str, angles: dict[str, RationalAngle]) -> RationalAngle:
+    """The angle a token gives.  `angles` maps the tokens already read from
+    one file to their angles, so each distinct token is parsed once; a bad
+    token is not stored and raises where it is read."""
+    angle = angles.get(text)
+    if angle is None:
+        try:
+            angle = angles[text] = RationalAngle(parse_fraction(text))
+        except ValueError:
+            raise ActionFormatError(f"{where}: bad angle {text!r}") from None
+    return angle
 
 
-def _parse_element(where: str, text: str, n: int) -> tuple:
+def _parse_element(
+    where: str, text: str, n: int, angles: dict[str, RationalAngle]
+) -> tuple:
     """(alpha, theta1, beta, theta2) from the `name=value` fields of one
-    element line; a name may appear once."""
+    element line; a name may appear once.  Angles are read through
+    `_parse_angle` with the file's `angles`."""
     fields: dict[str, str] = {}
     for tok in text.split():
         name, sep, value = tok.partition("=")
@@ -352,7 +373,7 @@ def _parse_element(where: str, text: str, n: int) -> tuple:
         raise ActionFormatError(f"{where}: missing fields {sorted(missing)}")
     if fields["alpha"] not in ("+1", "-1", "1"):
         raise ActionFormatError(f"{where}: alpha must be +1 or -1")
-    theta1 = _parse_angle(fields["theta1"], where)
+    theta1 = _parse_angle(fields["theta1"], where, angles)
     perm_text = fields["beta"]
     if not (perm_text.startswith("(") and perm_text.endswith(")")):
         raise ActionFormatError(f"{where}: beta must be parenthesized")
@@ -370,7 +391,7 @@ def _parse_element(where: str, text: str, n: int) -> tuple:
         1 if fields["alpha"] in ("+1", "1") else -1,
         theta1,
         tuple(i - 1 for i in images),
-        tuple(_parse_angle(tok, where) for tok in angle_toks),
+        tuple(_parse_angle(tok, where, angles) for tok in angle_toks),
     )
 
 
@@ -423,10 +444,11 @@ def parse_action_text(
     if pairs is None or not pairs:
         raise ActionFormatError(f"{source}: missing or empty 'pairs:' line")
     rows = []
+    angles: dict[str, RationalAngle] = {}
     for g in range(group.order):
         if g not in element_lines:
             raise ActionFormatError(f"{source}: missing line for element {g}")
-        rows.append(_parse_element(*element_lines[g], len(pairs)))
+        rows.append(_parse_element(*element_lines[g], len(pairs), angles))
     extra = set(element_lines) - set(range(group.order))
     if extra:
         raise ActionFormatError(f"{source}: element indices out of range: {sorted(extra)}")

@@ -3,10 +3,10 @@
 Elements are the indices 0..N-1, `mul(a, b)` is the product a*b and element
 0 is the identity.  The built-in groups multiply by formula; a
 multiplication table exists only for a group file.  Such a table is checked
-entry by entry for range, the Latin property and the identity at 0, and for
-associativity by Light's test on a generating set (`validate_group`), in
-O(N^2 log N) steps instead of O(N^3).  Orders stay small, so subgroup
-questions are answered by direct scans.
+for range, the Latin property and the identity at 0, and for associativity
+by Light's test on a generating set (`validate_group`), in O(N^2 log N)
+steps instead of O(N^3).  Orders stay small, so subgroup questions are
+answered by direct scans.
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def inv(self, a: int) -> int:
-        for b in self.elements():
-            if self.mul(a, b) == self.identity:
-                return b
-        raise GroupTableError(f"element {a} has no inverse")
-
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily: the lowest element outside the
@@ -93,13 +87,14 @@ class FiniteGroup:
 def validate_group(table: list[list[int]]) -> FiniteGroup:
     """Check the group axioms; raise on the first failure.
 
-    Range, Latin property and the identity at element 0 are checked entry
-    by entry.  Associativity uses Light's test: (a*s)*c = a*(s*c) for all
-    a, c and each s in a generating set.  The s that pass are closed under
-    products, and every element is a product of generators
-    (`generated_subgroup`), so they are the whole table.  A failing table
-    gets the full O(N^3) scan, which names the first failing triple.  The
-    group returned reads its products from the rows.
+    Range, Latin property and the identity at element 0 are checked row by
+    row and column by column; a row whose `min` or `max` is out of range is
+    scanned for its first bad entry.  Associativity uses Light's test:
+    (a*s)*c = a*(s*c) for all a, c and each s in a generating set.  The s
+    that pass are closed under products, and every element is a product of
+    generators (`generated_subgroup`), so they are the whole table.  A
+    failing table gets the full O(N^3) scan, which names the first failing
+    triple.  The group returned reads its products from the rows.
     """
     n = len(table)
     if n == 0:
@@ -107,14 +102,14 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
     for g, row in enumerate(table):
         if len(row) != n:
             raise GroupTableError(f"row {g} has {len(row)} entries, expected {n}")
-        for h, v in enumerate(row):
-            if not 0 <= v < n:
-                raise GroupTableError(f"entry [{g}][{h}]={v} out of range 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            h, v = next((h, v) for h, v in enumerate(row) if not 0 <= v < n)
+            raise GroupTableError(f"entry [{g}][{h}]={v} out of range 0..{n - 1}")
     full = set(range(n))
-    for g in range(n):
-        if set(table[g]) != full:
+    for g, (row, column) in enumerate(zip(table, zip(*table))):
+        if set(row) != full:
             raise GroupTableError(f"row {g} is not a permutation (table not Latin)")
-        if {table[h][g] for h in range(n)} != full:
+        if set(column) != full:
             raise GroupTableError(f"column {g} is not a permutation (table not Latin)")
     if any(table[0][g] != g or table[g][0] != g for g in range(n)):
         raise GroupTableError("element 0 is not the identity")

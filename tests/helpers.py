@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from seifert_actions.action import ExtendedActionData, boundary_action
 from seifert_actions.groups import (
+    GroupTableError,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -311,6 +312,34 @@ def reference_law_report(data):
                     f"differ: {data.pairs[i]} vs {data.pairs[j]}"
                 )
     return problems
+
+
+def inverse(group, a):
+    """The b with a*b = identity, found by scanning the group."""
+    return next(b for b in group.elements() if group.mul(a, b) == group.identity)
+
+
+def reference_table_check(table):
+    """Reference for the table checks of `validate_group` before its
+    associativity test: range, Latin property and identity, entry by entry,
+    raising the same GroupTableError on the first failure."""
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("empty table")
+    for g, row in enumerate(table):
+        if len(row) != n:
+            raise GroupTableError(f"row {g} has {len(row)} entries, expected {n}")
+        for h, v in enumerate(row):
+            if not 0 <= v < n:
+                raise GroupTableError(f"entry [{g}][{h}]={v} out of range 0..{n - 1}")
+    full = set(range(n))
+    for g in range(n):
+        if set(table[g]) != full:
+            raise GroupTableError(f"row {g} is not a permutation (table not Latin)")
+        if {table[h][g] for h in range(n)} != full:
+            raise GroupTableError(f"column {g} is not a permutation (table not Latin)")
+    if any(table[0][g] != g or table[g][0] != g for g in range(n)):
+        raise GroupTableError("element 0 is not the identity")
 
 
 def random_angle(rng):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     PROPERTY,
     evaluation_homomorphism_holds,
+    inverse,
     klein_action,
     make_action,
     mixed_orbit_action,
@@ -323,7 +324,7 @@ def test_kernel_is_normal():
         group = data.group
         for g in group.elements():
             for k in kernel:
-                assert group.mul(group.mul(g, k), group.inv(g)) in kernel
+                assert group.mul(group.mul(g, k), inverse(group, g)) in kernel
 
 
 PERTURBED_BASES = standard_fixtures() + [
@@ -512,3 +513,24 @@ def test_action_parse_errors_cite_lines(tmp_path):
         message = ":1: .*bad_g.txt:3: " + re.escape(f"bad table row '{row}'")
         with pytest.raises(ActionFormatError, match=message):
             parse_action_text(bad, base_dir=tmp_path)
+
+
+def test_repeated_angle_tokens(tmp_path):
+    (tmp_path / "g.txt").write_text(format_group(cyclic_group(2)), encoding="utf-8")
+    text = (
+        "group: g.txt\n"
+        "pairs: (3,2) (3,2)\n"
+        "0: alpha=+1 theta1=0 beta=(1,2) theta2=0,0\n"
+        "1: alpha=+1 theta1=1/3 beta=(1,2) theta2=2/6,1/3\n"
+    )
+    data = parse_action_text(text, base_dir=tmp_path)
+    assert data.theta2[1] == (angle(1, 3), angle(1, 3)) == (data.theta1[1],) * 2
+    # a repeated token is one angle, parsed once
+    assert data.theta2[1][1] is data.theta1[1]
+    # a bad token that repeats is reported on the first line that holds it
+    bad = text.replace("theta2=0,0", "theta2=0,1/0").replace("2/6,1/3", "1/0,1/0")
+    with pytest.raises(ActionFormatError, match=re.escape(":3: bad angle '1/0'")):
+        parse_action_text(bad, base_dir=tmp_path)
+    bad = text.replace("theta2=2/6,1/3", "theta2=x,x").replace("theta1=0 ", "theta1=x ")
+    with pytest.raises(ActionFormatError, match=re.escape(":3: bad angle 'x'")):
+        parse_action_text(bad, base_dir=tmp_path)

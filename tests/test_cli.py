@@ -396,7 +396,18 @@ def test_non_action_verbs_load_no_action_module(argv):
     assert code == 0 and not loaded & ACTION_MODULES
 
 
-def test_verify_action_loads_no_structure_module(tmp_path):
-    code, loaded = loaded_modules("verify-action", write_action(tmp_path, rotation_z3()))
-    assert code == 0 and "seifert_actions.action" in loaded
-    assert "seifert_actions.structure" not in loaded
+# Checking an action needs no obstruction, orbifold or torus module; only
+# `structure` loads `structure`, and only the two map verbs load `torus`.
+@pytest.mark.parametrize("argv, extra", [
+    (["verify-action"], ()),
+    (["orbits"], ()),
+    (["structure"], ("structure",)),
+    (["boundary-action", "--element", "1", "--index", "1"], ("torus",)),
+    (["filling-action", "--element", "1", "--index", "1"], ("torus",)),
+], ids=["verify-action", "orbits", "structure", "boundary-action", "filling-action"])
+def test_action_verbs_load_only_the_modules_they_need(tmp_path, argv, extra):
+    path = write_action(tmp_path, rotation_z3())
+    code, loaded = loaded_modules(argv[0], path, *argv[1:])
+    modules = ("action", "groups", "rational", "seifert", *extra)
+    assert code == 0
+    assert loaded == BASE | {f"seifert_actions.{m}" for m in modules}

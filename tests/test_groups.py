@@ -4,10 +4,10 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import PROPERTY
+from helpers import PROPERTY, inverse, reference_table_check
 
 from seifert_actions.groups import (
     FiniteGroup,
@@ -32,7 +32,7 @@ def rows(group):
 def test_validate_group_accepts_z2():
     group = validate_group([[0, 1], [1, 0]])
     assert group.order == 2 and group.identity == 0
-    assert group.inv(1) == 1
+    assert inverse(group, 1) == 1
 
 
 def test_validate_group_accepts_klein():
@@ -176,7 +176,7 @@ def test_dihedral_relations():
     assert d4.element_order(r) == 4
     assert d4.element_order(s) == 2
     # s r s^-1 = r^-1
-    assert d4.mul(d4.mul(s, r), d4.inv(s)) == d4.inv(r)
+    assert d4.mul(d4.mul(s, r), inverse(d4, s)) == inverse(d4, r)
 
 
 def test_subgroups_and_cosets():
@@ -195,7 +195,7 @@ def brute_force_is_subgroup(group, elements):
     members = set(elements)
     return (
         group.identity in members
-        and all(group.inv(a) in members for a in members)
+        and all(inverse(group, a) in members for a in members)
         and all(group.mul(a, b) in members for a in members for b in members)
     )
 
@@ -263,6 +263,56 @@ def test_parse_group_text_round_trip_property(group):
     parsed = parse_group_text(format_group(group))
     assert parsed == group
     assert hash(parsed) == hash(group)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A built-in group's table after one to three edits: an entry set to a
+    value from -2 to n+1 (out of range, or in range so that its row and
+    column stop being Latin), a row cut short or lengthened, or two rows or
+    two columns swapped, which keeps the table Latin but moves the
+    identity."""
+    table = rows(draw(BUILT_IN_GROUPS))
+    n = len(table)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["entry", "length", "rows", "columns"]))
+        g, h = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "entry" and h < len(table[g]):
+            table[g][h] = draw(st.integers(-2, n + 1))
+        elif kind == "length":
+            table[g] = table[g][:h] if draw(st.booleans()) else table[g] + [h]
+        elif kind == "rows":
+            table[g], table[h] = table[h], table[g]
+        elif kind == "columns":
+            for row in table:
+                if max(g, h) < len(row):
+                    row[g], row[h] = row[h], row[g]
+    return table
+
+
+def check_message(check, table):
+    try:
+        check(table)
+    except GroupTableError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(perturbed_tables())
+@example([])
+@example([[0, 1, 2], [1, 5, -1], [2, 0, 1]])  # first of two bad entries in a row
+@example([[0, 1], [1]])  # a short row
+@example([[0, 1, 2], [1, 2, 0], [2, 1, 1]])  # column 1 fails before row 2
+@example([[0, 1, 2], [1, 2, 0], [2, 0, 0]])  # row 2 fails before column 2
+@example([[1, 0], [0, 1]])  # Latin, identity not at 0
+def test_table_checks_match_the_per_entry_reference(table):
+    expected = check_message(reference_table_check, table)
+    message = check_message(validate_group, table)
+    if expected is None:
+        assert message is None or message.startswith("associativity fails at ")
+    else:
+        assert message == expected
 
 
 def test_parse_group_text_errors():
