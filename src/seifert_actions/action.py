@@ -358,8 +358,7 @@ def _parse_element(
     where: str, text: str, n: int, angles: dict[str, RationalAngle]
 ) -> tuple:
     """(alpha, theta1, beta, theta2) from the `name=value` fields of one
-    element line; a name may appear once.  Angles are read through
-    `_parse_angle` with the file's `angles`."""
+    element line; a name may appear once."""
     fields: dict[str, str] = {}
     for tok in text.split():
         name, sep, value = tok.partition("=")
