@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file, read_utf8
-from .rational import RationalAngle, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
+from .rational import RationalAngle, Value, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
 from . import seifert
 
@@ -63,8 +62,7 @@ class UnsupportedExtensionError(ValueError):
     """Raised when a boundary map does not cone over the solid torus."""
 
 
-@dataclass(frozen=True)
-class ExtendedActionData:
+class ExtendedActionData(Value):
     """Per-element action data on the boundary of the fibered piece.
 
     alpha, theta1, beta and theta2 are indexed by element; theta2[g][i] is
@@ -72,6 +70,7 @@ class ExtendedActionData:
     boundary indices.
     """
 
+    __slots__ = __match_args__ = ("group", "pairs", "alpha", "theta1", "beta", "theta2")
     group: FiniteGroup
     pairs: tuple[SeifertPair, ...]
     alpha: tuple[int, ...]
@@ -79,29 +78,44 @@ class ExtendedActionData:
     beta: tuple[tuple[int, ...], ...]
     theta2: tuple[tuple[RationalAngle, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.pairs)
-        order = self.group.order
+    def __init__(
+        self,
+        group: FiniteGroup,
+        pairs: tuple[SeifertPair, ...],
+        alpha: tuple[int, ...],
+        theta1: tuple[RationalAngle, ...],
+        beta: tuple[tuple[int, ...], ...],
+        theta2: tuple[tuple[RationalAngle, ...], ...],
+    ) -> None:
+        n = len(pairs)
+        order = group.order
         if n < 1:
             raise ActionDataError("at least one boundary component is required")
-        for pair in self.pairs:
+        for pair in pairs:
             seifert.require_pair(pair, ActionDataError)
-        for name in ("alpha", "theta1", "beta", "theta2"):
-            if len(seq := getattr(self, name)) != order:
+        fields = {"alpha": alpha, "theta1": theta1, "beta": beta, "theta2": theta2}
+        for name, seq in fields.items():
+            if len(seq) != order:
                 raise ActionDataError(
                     f"{name} has {len(seq)} entries, expected one per element ({order})"
                 )
-        for g, value in enumerate(self.alpha):
+        for g, value in enumerate(alpha):
             if value not in (-1, 1):
                 raise ActionDataError(f"alpha[{g}]={value} must be +1 or -1")
-        for g, perm in enumerate(self.beta):
+        for g, perm in enumerate(beta):
             if problem := _beta_problem(perm, n):
                 raise ActionDataError(f"{problem}, got beta[{g}]={perm}")
-        for g, row in enumerate(self.theta2):
+        for g, row in enumerate(theta2):
             if len(row) != n:
                 raise ActionDataError(
                     f"theta2[{g}] has {len(row)} angles, expected {n}"
                 )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "theta2", theta2)
 
     @property
     def n_boundary(self) -> int:
@@ -248,8 +262,7 @@ def induced_filling_action(
     )
 
 
-@dataclass(frozen=True)
-class SolidTorusPoint:
+class SolidTorusPoint(Value):
     """Point (u, r, v) of S^1 x D with the disc in polar form.
 
     The meridian angle is meaningless on the core circle, so it is
@@ -257,17 +270,21 @@ class SolidTorusPoint:
     Fraction; any other type raises TypeError.
     """
 
+    __slots__ = __match_args__ = ("longitude", "radius", "meridian")
     longitude: RationalAngle
     radius: Fraction
     meridian: RationalAngle
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.radius, (Fraction, int)):
-            raise TypeError(f"radius must be an int or Fraction, got {self.radius!r}")
-        if not 0 <= self.radius <= 1:
-            raise ValueError(f"radius must lie in [0, 1], got {self.radius}")
-        if self.radius == 0 and not self.meridian.is_zero():
-            object.__setattr__(self, "meridian", ZERO_ANGLE)
+    def __init__(
+        self, longitude: RationalAngle, radius: Fraction, meridian: RationalAngle
+    ) -> None:
+        if not isinstance(radius, (Fraction, int)):
+            raise TypeError(f"radius must be an int or Fraction, got {radius!r}")
+        if not 0 <= radius <= 1:
+            raise ValueError(f"radius must lie in [0, 1], got {radius}")
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "meridian", ZERO_ANGLE if radius == 0 else meridian)
 
 
 def solid_torus_eval(

@@ -11,12 +11,11 @@ answered by direct scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable
 
-from .rational import parse_int, parse_int_list
+from .rational import Value, parse_int, parse_int_list
 
 __all__ = [
     "FiniteGroup",
@@ -38,15 +37,20 @@ class GroupTableError(ValueError):
     """Raised when a multiplication table violates a group axiom."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """A group on 0..order-1 with product `mul(a, b)` and identity 0.
     Equality compares the products through `mul` and stops at the first
     difference; the hash is the order's."""
 
+    __match_args__ = ("order", "mul")
+    __slots__ = (*__match_args__, "__dict__")  # `__dict__` holds `generators`
     order: int
     mul: Callable[[int, int], int]
-    identity: ClassVar[int] = 0
+    identity = 0
+
+    def __init__(self, order: int, mul: Callable[[int, int], int]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mul", mul)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):

@@ -10,9 +10,9 @@ Both deciders are implemented and kept in exact agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .orbifold import OrbifoldData, possible_orbit_numbers
+from .rational import Value
 from .seifert import NormalizedPresentation, SeifertPair, SeifertPresentation
 
 __all__ = [
@@ -32,27 +32,32 @@ class RewriteError(ValueError):
     """Raised when a presentation rewrite is illegal."""
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(Value):
     """Coefficients with sum(coefficients[i] * orbit_numbers[i]) = b."""
 
+    __slots__ = __match_args__ = ("orbit_numbers", "coefficients")
     orbit_numbers: tuple[int, ...]
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.orbit_numbers) != len(self.coefficients):
+    def __init__(self, orbit_numbers: tuple[int, ...], coefficients: tuple[int, ...]) -> None:
+        if len(orbit_numbers) != len(coefficients):
             raise ValueError("orbit_numbers and coefficients must have equal length")
+        object.__setattr__(self, "orbit_numbers", orbit_numbers)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def total(self) -> int:
         return sum(c * o for c, o in zip(self.coefficients, self.orbit_numbers))
 
 
-@dataclass(frozen=True)
-class HFunction:
+class HFunction(Value):
     """Slot weights of a rewrite: critical-fiber slots first, then regular
     slots; the values must sum to the class b being rewritten."""
 
+    __slots__ = __match_args__ = ("values",)
     values: tuple[int, ...]
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "values", values)
 
     def total(self) -> int:
         return sum(self.values)

@@ -8,10 +8,9 @@ reflectors; base orbifolds of the fibered manifolds themselves never do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import INT, parse_int, parse_int_list
+from .rational import INT, Value, parse_int, parse_int_list
 
 __all__ = [
     "OrbifoldData",
@@ -28,21 +27,31 @@ class QuotientDataError(ValueError):
     """Raised for malformed or inconsistent orbifold data."""
 
 
-@dataclass(frozen=True)
-class OrbifoldData:
+class OrbifoldData(Value):
+    __slots__ = __match_args__ = ("genus", "cone_orders", "corner_orders", "with_boundary")
     genus: int
-    cone_orders: tuple[int, ...] = ()
-    corner_orders: tuple[int, ...] = ()
-    with_boundary: bool = False
+    cone_orders: tuple[int, ...]
+    corner_orders: tuple[int, ...]
+    with_boundary: bool
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise QuotientDataError(f"genus must be nonnegative, got {self.genus}")
-        for n in self.cone_orders + self.corner_orders:
+    def __init__(
+        self,
+        genus: int,
+        cone_orders: tuple[int, ...] = (),
+        corner_orders: tuple[int, ...] = (),
+        with_boundary: bool = False,
+    ) -> None:
+        if genus < 0:
+            raise QuotientDataError(f"genus must be nonnegative, got {genus}")
+        for n in cone_orders + corner_orders:
             if n < 2:
                 raise QuotientDataError(f"orbifold orders must be >= 2, got {n}")
-        if self.corner_orders and not self.with_boundary:
+        if corner_orders and not with_boundary:
             raise QuotientDataError("corner reflectors require a boundary")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cone_orders", cone_orders)
+        object.__setattr__(self, "corner_orders", corner_orders)
+        object.__setattr__(self, "with_boundary", with_boundary)
 
     def __str__(self) -> str:
         return format_orbifold(self)

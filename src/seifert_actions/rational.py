@@ -7,14 +7,15 @@ witnesses) is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
     "Fraction",
     "INT",
     "RationalAngle",
     "ZERO_ANGLE",
+    "Value",
     "angle",
     "parse_fraction",
     "parse_int",
@@ -51,7 +52,8 @@ def parse_int_list(
     such as one with an empty entry, raises `error(message)`."""
     if _INT_LIST_RES[sep].fullmatch(text) is None:
         raise error(message)
-    return tuple(map(int, _INT_RE.findall(text)))
+    # the match is the only check: int() reads each token with its whitespace
+    return tuple(map(int, text.split(sep))) if text.strip() else ()
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -66,8 +68,50 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class Value:
+    """Base of the library's immutable value classes.
+
+    A subclass names its fields, in constructor order, in `__match_args__`,
+    keeps them in `__slots__`, and sets them in its own `__init__` through
+    `object.__setattr__`.  Assignment and deletion raise AttributeError.
+    Two values are equal when they are of the same class and their fields
+    are equal; a value hashes as the tuple of its fields, prints as
+    `Name(field=value, ...)`, and copies and pickles by passing its fields
+    to the constructor again.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _fields: tuple  # the tuple of field values, read by a C-level getter
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__match_args__)
+        cls._fields = property(get if len(cls.__match_args__) > 1 else lambda v: (get(v),))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._fields)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields
+
+
+class RationalAngle(Value):
     """An element of Q/Z stored by its canonical representative in [0, 1).
 
     Models a point exp(2*pi*i*t) of the unit circle additively, so that
@@ -75,14 +119,13 @@ class RationalAngle:
     a Fraction; any other type raises TypeError.
     """
 
+    __slots__ = __match_args__ = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, (Fraction, int)):
-            raise TypeError(
-                f"angle value must be an int or Fraction, got {self.value!r}"
-            )
-        object.__setattr__(self, "value", self.value % 1)
+    def __init__(self, value: Fraction) -> None:
+        if not isinstance(value, (Fraction, int)):
+            raise TypeError(f"angle value must be an int or Fraction, got {value!r}")
+        object.__setattr__(self, "value", value % 1)
 
     def __add__(self, other: RationalAngle) -> RationalAngle:
         return RationalAngle(self.value + other.value)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import INT, parse_int
+from .rational import INT, Value, parse_int
 
 __all__ = [
     "GluingPair",
@@ -53,16 +52,41 @@ class MoveError(ValueError):
     """Raised when a move's preconditions fail."""
 
 
-@dataclass(frozen=True, order=True)
-class SeifertPair:
-    """One filling pair (q, p); q = 1 marks a regular fiber.
+class SeifertPair(Value):
+    """One filling pair (q, p); q = 1 marks a regular fiber.  Pairs are
+    ordered by (q, p).
 
     Validity (q >= 1 and gcd(q, |p|) = 1) is checked by `pair_problems`, not
     at construction, so that violation reports can be produced for raw input.
     """
 
+    __slots__ = __match_args__ = ("q", "p")
     q: int
     p: int
+
+    def __init__(self, q: int, p: int) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.q, self.p) < (other.q, other.p)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.q, self.p) <= (other.q, other.p)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.q, self.p) > (other.q, other.p)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.q, self.p) >= (other.q, other.p)
+        return NotImplemented
 
     def is_trivial(self) -> bool:
         return self.q == 1 and self.p == 0
@@ -71,22 +95,31 @@ class SeifertPair:
         return f"({self.q},{self.p})"
 
 
-@dataclass(frozen=True)
-class SeifertPresentation:
+class SeifertPresentation(Value):
+    __slots__ = __match_args__ = ("genus", "pairs")
     genus: int
-    pairs: tuple[SeifertPair, ...] = ()
+    pairs: tuple[SeifertPair, ...]
+
+    def __init__(self, genus: int, pairs: tuple[SeifertPair, ...] = ()) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "pairs", pairs)
 
     def __str__(self) -> str:
         return format_presentation(self)
 
 
-@dataclass(frozen=True)
-class NormalizedPresentation:
+class NormalizedPresentation(Value):
     """Canonical form: sorted pairs with 0 < p < q plus the class b."""
 
+    __slots__ = __match_args__ = ("genus", "pairs", "b")
     genus: int
     pairs: tuple[SeifertPair, ...]
     b: int
+
+    def __init__(self, genus: int, pairs: tuple[SeifertPair, ...], b: int) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "b", b)
 
     def to_presentation(self) -> SeifertPresentation:
         """Embed back as a raw presentation with an explicit (1, b) pair."""
@@ -215,8 +248,7 @@ def apply_move(pres: SeifertPresentation, move: tuple) -> SeifertPresentation:
     raise MoveError(f"unknown move {tag!r}")
 
 
-@dataclass(frozen=True)
-class GluingPair:
+class GluingPair(Value):
     """Exponents (x, y) of the filling map attached to a pair (q, p).
 
     They satisfy x*q - y*p = -1 with 0 <= y < q, so the attaching matrix
@@ -224,9 +256,15 @@ class GluingPair:
     |y| < q we fix the nonnegative one, i.e. y is the inverse of p mod q.
     """
 
+    __slots__ = __match_args__ = ("x", "y", "attached_pair")
     x: int
     y: int
     attached_pair: SeifertPair
+
+    def __init__(self, x: int, y: int, attached_pair: SeifertPair) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "attached_pair", attached_pair)
 
     def matrix(self) -> tuple[int, int, int, int]:
         return (self.x, self.attached_pair.p, self.y, self.attached_pair.q)

@@ -9,10 +9,10 @@ orientation-reversing element has order 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .action import ActionDataError, ExtendedActionData
 from .groups import is_subgroup
+from .rational import Value
 
 __all__ = [
     "DIRECT_LIKE",
@@ -31,13 +31,29 @@ SEMIDIRECT = "semidirect"
 NO_SPLITTING = "no-splitting-found"
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Value):
+    __slots__ = __match_args__ = (
+        "fop_subgroup", "fop_index", "rotation_order", "splitting_element", "classification",
+    )
     fop_subgroup: tuple[int, ...]
     fop_index: int
     rotation_order: int
     splitting_element: int | None
     classification: str
+
+    def __init__(
+        self,
+        fop_subgroup: tuple[int, ...],
+        fop_index: int,
+        rotation_order: int,
+        splitting_element: int | None,
+        classification: str,
+    ) -> None:
+        object.__setattr__(self, "fop_subgroup", fop_subgroup)
+        object.__setattr__(self, "fop_index", fop_index)
+        object.__setattr__(self, "rotation_order", rotation_order)
+        object.__setattr__(self, "splitting_element", splitting_element)
+        object.__setattr__(self, "classification", classification)
 
 
 def fop_subgroup(data: ExtendedActionData) -> list[int]:

@@ -10,9 +10,8 @@ to decide finite order and to transport boundary actions across fillings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .rational import RationalAngle, ZERO_ANGLE
+from .rational import RationalAngle, Value, ZERO_ANGLE
 from .seifert import SeifertPair, gluing_pair
 
 __all__ = [
@@ -27,29 +26,42 @@ __all__ = [
     "power",
 ]
 
-@dataclass(frozen=True)
-class TorusAutomorphism:
+class TorusAutomorphism(Value):
     """The matrix entries must be ints (any other type raises TypeError)
     forming a matrix of determinant +-1 (otherwise ValueError)."""
 
+    __slots__ = __match_args__ = ("m11", "m12", "m21", "m22", "phase1", "phase2")
     m11: int
     m12: int
     m21: int
     m22: int
-    phase1: RationalAngle = ZERO_ANGLE
-    phase2: RationalAngle = ZERO_ANGLE
+    phase1: RationalAngle
+    phase2: RationalAngle
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        m11: int,
+        m12: int,
+        m21: int,
+        m22: int,
+        phase1: RationalAngle = ZERO_ANGLE,
+        phase2: RationalAngle = ZERO_ANGLE,
+    ) -> None:
         if not (
-            isinstance(self.m11, int) and isinstance(self.m12, int)
-            and isinstance(self.m21, int) and isinstance(self.m22, int)
+            isinstance(m11, int) and isinstance(m12, int)
+            and isinstance(m21, int) and isinstance(m22, int)
         ):
-            raise TypeError(f"matrix entries must be ints, got {self.matrix()!r}")
-        if abs(self.det) != 1:
+            raise TypeError(f"matrix entries must be ints, got {(m11, m12, m21, m22)!r}")
+        if abs(m11 * m22 - m12 * m21) != 1:
             raise ValueError(
-                f"matrix [[{self.m11},{self.m12}],[{self.m21},{self.m22}]] "
-                "is not invertible over the integers"
+                f"matrix [[{m11},{m12}],[{m21},{m22}]] is not invertible over the integers"
             )
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
+        object.__setattr__(self, "phase1", phase1)
+        object.__setattr__(self, "phase2", phase2)
 
     @property
     def det(self) -> int:

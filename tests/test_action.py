@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tempfile
 from decimal import Decimal
@@ -28,6 +27,7 @@ from helpers import (
 from seifert_actions.action import (
     ActionDataError,
     ActionFormatError,
+    ExtendedActionData,
     SolidTorusPoint,
     UnsupportedExtensionError,
     action_obstruction_check,
@@ -346,7 +346,10 @@ def test_generator_check_matches_full_scan_on_perturbed_actions(data, seed):
 
 
 def test_trivial_group_is_checked_at_the_identity():
-    data = dataclasses.replace(trivial_action(cyclic_group(1)), alpha=(-1,))
+    valid = trivial_action(cyclic_group(1))
+    data = ExtendedActionData(
+        valid.group, valid.pairs, (-1,), valid.theta1, valid.beta, valid.theta2
+    )
     assert cyclic_group(1).generators == ()
     assert verify_action(data) == [
         "alpha is not a homomorphism at (0,0): alpha(0)=-1 but product is +1"

@@ -123,7 +123,10 @@ BAD_TOKENS = st.one_of(
 
 
 def test_int_list_examples():
-    assert parse_int_list(" ", _ListError, "unused") == ()
+    for blank in ["", " ", " \t "]:
+        assert parse_int_list(blank, _ListError, "unused") == ()
+        assert parse_int_list(blank, _ListError, "unused", sep=None) == ()
+    assert parse_int_list(" 1 , -2 ", _ListError, "unused") == (1, -2)
     assert parse_int_list(" -7 , 0,12 ", _ListError, "unused") == (-7, 0, 12)
     assert parse_int_list("0\t-1  2", _ListError, "unused", sep=None) == (0, -1, 2)
     for text in [",", ",1", "1,", "1,,2", "1 2", "- 1", "1-2", "0x1", "1e3"]:
