@@ -1,7 +1,9 @@
 """Seifert presentations, gluing algebra, and finite fiber-preserving actions.
 
-The public names below are resolved on first use (PEP 562): importing the
-package, or one of its modules, loads no other library module.
+The eight library modules and the public names below are resolved on first
+use (PEP 562): importing the package, or one of its modules, loads no other
+library module.  Code that loads a module late reads it as an attribute of
+the package, `seifert_actions.torus`, and never imports it in a function.
 """
 
 import importlib
@@ -36,6 +38,9 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
+    if name in _MODULES:
+        # importing a submodule binds it here, so this runs once per module
+        return importlib.import_module(f".{name}", __name__)
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -45,4 +50,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+    return sorted({*globals(), *_MODULES, *_EXPORTS})

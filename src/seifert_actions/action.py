@@ -10,8 +10,8 @@ are checked value-by-value, never assumed.
 Composition convention: beta(g1*g2) = beta(g1) o beta(g2), i.e. the group
 acts on boundary indices from the left.
 
-`torus` and `obstruction` are imported by the functions that use them, so
-checking an action loads neither.
+`torus` and `obstruction` are read as attributes of the package by the
+functions that use them, so checking an action loads neither.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import seifert_actions as lib
+
 from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file, read_utf8
-from .rational import RationalAngle, Value, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list
+from .rational import (
+    InputError, RationalAngle, Value, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list,
+)
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
 from . import seifert
 
@@ -50,15 +54,15 @@ __all__ = [
 ]
 
 
-class ActionDataError(ValueError):
+class ActionDataError(InputError):
     """Raised for structurally malformed action data."""
 
 
-class ActionFormatError(ValueError):
+class ActionFormatError(InputError):
     """Raised for unparseable action files."""
 
 
-class UnsupportedExtensionError(ValueError):
+class UnsupportedExtensionError(InputError):
     """Raised when a boundary map does not cone over the solid torus."""
 
 
@@ -228,11 +232,9 @@ def boundary_action(
 ) -> tuple[int, TorusAutomorphism]:
     """Action of g on boundary torus i of the fibered piece: the target
     index and the map (u, v) -> (theta1(g) u^alpha, theta2(i,g) v^alpha)."""
-    from .torus import TorusAutomorphism
-
     _require_element_and_index(data, g, i)
     a = data.alpha[g]
-    return data.beta[g][i], TorusAutomorphism(
+    return data.beta[g][i], lib.torus.TorusAutomorphism(
         a, 0, 0, a, data.theta1[g], data.theta2[g][i]
     )
 
@@ -245,14 +247,12 @@ def induced_filling_action(
 
     Equals the boundary action conjugated by the attaching map, exactly.
     """
-    from .torus import TorusAutomorphism
-
     _require_element_and_index(data, g, i)
     pair = data.pairs[i]
     gp = seifert.gluing_pair(pair)
     a = data.alpha[g]
     t1, t2 = data.theta1[g], data.theta2[g][i]
-    return data.beta[g][i], TorusAutomorphism(
+    return data.beta[g][i], lib.torus.TorusAutomorphism(
         a,
         0,
         0,
@@ -281,7 +281,7 @@ class SolidTorusPoint(Value):
         if not isinstance(radius, (Fraction, int)):
             raise TypeError(f"radius must be an int or Fraction, got {radius!r}")
         if not 0 <= radius <= 1:
-            raise ValueError(f"radius must lie in [0, 1], got {radius}")
+            raise InputError(f"radius must lie in [0, 1], got {radius}")
         object.__setattr__(self, "longitude", longitude)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "meridian", ZERO_ANGLE if radius == 0 else meridian)
@@ -332,8 +332,6 @@ def action_obstruction_check(
     action; orbit numbers of interior regular fibers, which the boundary
     data cannot see, may be supplied by the caller.
     """
-    from .obstruction import decompose
-
     critical = sorted(pair for pair in data.pairs if pair.q >= 2)
     if critical != sorted(pres.pairs):
         raise ActionDataError(
@@ -342,7 +340,7 @@ def action_obstruction_check(
         )
     numbers = set(boundary_orbit_numbers(data).values())
     numbers.update(regular_orbits)
-    return decompose(pres.b, sorted(numbers))
+    return lib.obstruction.decompose(pres.b, sorted(numbers))
 
 
 def kernel_on_boundary(data: ExtendedActionData) -> list[int]:
@@ -366,7 +364,7 @@ def _parse_angle(text: str, where: str, angles: dict[str, RationalAngle]) -> Rat
     if angle is None:
         try:
             angle = angles[text] = RationalAngle(parse_fraction(text))
-        except ValueError:
+        except InputError:
             raise ActionFormatError(f"{where}: bad angle {text!r}") from None
     return angle
 
@@ -435,6 +433,8 @@ def parse_action_text(
         if key == "group":
             if not value:
                 raise ActionFormatError(f"{where}: empty group file name")
+            if "\0" in value:
+                raise ActionFormatError(f"{where}: group file name {value!r} holds a NUL byte")
             try:
                 group = parse_group_file(Path(base_dir) / value)
             except (GroupTableError, OSError) as exc:
@@ -448,10 +448,7 @@ def parse_action_text(
             if problems := seifert.pair_problems(pairs):
                 raise ActionFormatError(f"{where}: {problems[0]}")
         else:
-            try:
-                g = parse_int(key)
-            except ValueError:
-                raise ActionFormatError(f"{where}: unknown key {key!r}") from None
+            g = parse_int(key, ActionFormatError, f"{where}: unknown key {key!r}")
             if g in element_lines:
                 raise ActionFormatError(f"{where}: repeated element {g}")
             element_lines[g] = (where, value)

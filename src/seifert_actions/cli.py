@@ -5,9 +5,11 @@ decision (not equivalent, obstruction unsatisfied, invalid data), 2 for
 parse or usage errors.  Output is plain text and byte-for-byte
 deterministic for identical inputs.
 
-Each handler imports the library modules its verb uses when it runs, so a
-call loads only those, and `--help`, `--version` and usage errors load
-none.  Handlers call library functions as attributes of their module.
+Handlers read the library modules as attributes of the package, which
+loads each one on first use (`seifert_actions.__getattr__`), so a call
+loads only the modules its verb uses, and `--help`, `--version` and usage
+errors load none.  An input error is a `rational.InputError` or an
+OSError; any other exception is a fault and is not caught.
 """
 
 from __future__ import annotations
@@ -16,39 +18,34 @@ import argparse
 import functools
 import sys
 
-from . import __version__
+import seifert_actions as lib
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NEGATIVE = 3
 
-_INPUT_ERRORS = (
-    ValueError,
-    OSError,
-)
+
+def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
+    return lib.rational.parse_int_list(text, lib.rational.InputError, f"bad {name}: {text!r}")
 
 
 def _parse_partition(text: str) -> list[list[int]]:
     """Classes separated by ';', 1-based slots separated by ','; no class
     is empty."""
-    from .rational import parse_int_list
-
     classes = []
     for part in text.split(";"):
-        slots = parse_int_list(part, ValueError, f"bad partition list: {part!r}")
+        slots = _parse_int_list(part, "partition list")
         if not slots:
-            raise ValueError(f"bad partition list: {text!r}")
+            raise lib.rational.InputError(f"bad partition list: {text!r}")
         classes.append([slot - 1 for slot in slots])
     return classes
 
 
 def _load_verified_action(path: str):
-    from . import action as action_mod
-
-    data = action_mod.parse_action_file(path)
-    problems = action_mod.verify_action(data)
+    data = lib.action.parse_action_file(path)
+    problems = lib.action.verify_action(data)
     if problems:
-        raise ValueError(
+        raise lib.rational.InputError(
             f"{path} is not a valid action: {problems[0]}"
             + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else "")
         )
@@ -62,42 +59,34 @@ def _decide(positive: bool, yes: str, no: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from . import seifert
-
-    pres = seifert.parse_presentation(args.presentation)
-    problems = seifert.validate(pres)
+    seifert = lib.seifert
+    problems = seifert.validate(seifert.parse_presentation(args.presentation))
     return _decide(not problems, "ok", "\n".join(problems))
 
 
 def _cmd_normalize(args) -> int:
-    from . import seifert
-
+    seifert = lib.seifert
     pres = seifert.parse_presentation(args.presentation)
     print(seifert.format_normalized(seifert.normalize(pres)))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    from . import seifert
-
+    seifert = lib.seifert
     a = seifert.parse_presentation(args.presentation_a)
     b = seifert.parse_presentation(args.presentation_b)
     return _decide(seifert.equivalent(a, b), "equivalent", "not equivalent")
 
 
 def _cmd_euler(args) -> int:
-    from . import seifert
-
-    pres = seifert.parse_presentation(args.presentation)
-    print(seifert.euler_number(pres))
+    seifert = lib.seifert
+    print(seifert.euler_number(seifert.parse_presentation(args.presentation)))
     return EXIT_OK
 
 
 def _cmd_glue_pair(args) -> int:
-    from . import seifert
-
-    pair = seifert.parse_pair(args.pair)
-    gp = seifert.gluing_pair(pair)
+    seifert = lib.seifert
+    gp = seifert.gluing_pair(seifert.parse_pair(args.pair))
     fq, fy = seifert.induced_fibration(gp)
     print(f"x={gp.x} y={gp.y}")
     print(f"fibration: ({fq},{fy})")
@@ -105,112 +94,81 @@ def _cmd_glue_pair(args) -> int:
 
 
 def _cmd_orbifold_chi(args) -> int:
-    from . import orbifold as orbifold_mod
-
-    orb = orbifold_mod.parse_orbifold(args.orbifold)
-    print(orbifold_mod.euler_characteristic(orb))
+    orbifold = lib.orbifold
+    orb = orbifold.parse_orbifold(args.orbifold)
+    print(orbifold.euler_characteristic(orb))
     if args.sign:
-        print(orbifold_mod.geometry_sign(orb))
+        print(orbifold.geometry_sign(orb))
     return EXIT_OK
 
 
 def _cmd_orbit_numbers(args) -> int:
-    from . import orbifold as orbifold_mod
-
-    orb = orbifold_mod.parse_orbifold(args.orbifold)
-    numbers = orbifold_mod.possible_orbit_numbers(args.order, orb)
+    orbifold = lib.orbifold
+    numbers = orbifold.possible_orbit_numbers(args.order, orbifold.parse_orbifold(args.orbifold))
     print(" ".join(str(n) for n in sorted(numbers)))
     return EXIT_OK
 
 
 def _cmd_check_obstruction(args) -> int:
-    from . import obstruction as obstruction_mod
-    from . import orbifold as orbifold_mod
-
-    orb = orbifold_mod.parse_orbifold(args.orbifold)
-    divisor = obstruction_mod.obstruction_divisor(args.order, orb)
-    print(f"divisor: {divisor}")
-    satisfied = obstruction_mod.satisfies_obstruction_divisibility(args.b, args.order, orb)
+    obstruction = lib.obstruction
+    orb = lib.orbifold.parse_orbifold(args.orbifold)
+    print(f"divisor: {obstruction.obstruction_divisor(args.order, orb)}")
+    satisfied = obstruction.satisfies_obstruction_divisibility(args.b, args.order, orb)
     return _decide(satisfied, "satisfied", "not satisfied")
 
 
 def _cmd_decompose(args) -> int:
-    from . import obstruction as obstruction_mod
-    from .rational import parse_int_list
-
-    orbits = parse_int_list(args.orbits, ValueError, f"bad orbit list: {args.orbits!r}")
-    witness = obstruction_mod.decompose(args.b, orbits)
+    obstruction = lib.obstruction
+    witness = obstruction.decompose(args.b, _parse_int_list(args.orbits, "orbit list"))
     if witness is None:
         print("impossible")
         return EXIT_NEGATIVE
-    print(obstruction_mod.format_witness(args.b, witness))
+    print(obstruction.format_witness(args.b, witness))
     return EXIT_OK
 
 
 def _cmd_rewrite(args) -> int:
-    from . import obstruction as obstruction_mod
-    from . import seifert
-    from .rational import parse_int_list
-
-    pres = seifert.parse_presentation(args.presentation)
-    norm = seifert.normalize(pres)
-    h = obstruction_mod.HFunction(
-        parse_int_list(args.h, ValueError, f"bad h list: {args.h!r}")
-    )
+    seifert, obstruction = lib.seifert, lib.obstruction
+    norm = seifert.normalize(seifert.parse_presentation(args.presentation))
+    h = obstruction.HFunction(_parse_int_list(args.h, "h list"))
     partition = None if args.partition is None else _parse_partition(args.partition)
-    print(seifert.format_presentation(
-        obstruction_mod.rewrite_presentation(norm, h, partition)
-    ))
+    print(seifert.format_presentation(obstruction.rewrite_presentation(norm, h, partition)))
     return EXIT_OK
 
 
 def _cmd_verify_action(args) -> int:
-    from . import action as action_mod
-
-    data = action_mod.parse_action_file(args.action_file)
-    problems = action_mod.verify_action(data)
+    problems = lib.action.verify_action(lib.action.parse_action_file(args.action_file))
     return _decide(not problems, "ok", "\n".join(problems))
 
 
 def _cmd_torus_map(query: str, args) -> int:
     """boundary-action and filling-action: the library query `query` for
     one element on one boundary torus of a verified action."""
-    from . import action as action_mod
-
     data = _load_verified_action(args.action_file)
     if not 1 <= args.index <= data.n_boundary:
-        raise ValueError(f"boundary index {args.index} out of range 1..{data.n_boundary}")
+        raise lib.rational.InputError(
+            f"boundary index {args.index} out of range 1..{data.n_boundary}"
+        )
     # looked up per call, so that wrappers installed on the module are seen
-    target, auto = getattr(action_mod, query)(data, args.element, args.index - 1)
+    target, auto = getattr(lib.action, query)(data, args.element, args.index - 1)
     print(f"target: {target + 1}")
     print(f"map: {auto}")
     return EXIT_OK
 
 
 def _cmd_orbits(args) -> int:
-    from . import action as action_mod
-
     data = _load_verified_action(args.action_file)
-    sizes = action_mod.boundary_orbit_numbers(data)
+    sizes = lib.action.boundary_orbit_numbers(data)
     for i in range(data.n_boundary):
         print(f"{i + 1}: {sizes[i]}")
     return EXIT_OK
 
 
 def _cmd_structure(args) -> int:
-    from . import structure as structure_mod
-
+    structure = lib.structure
     data = _load_verified_action(args.action_file)
-    report = structure_mod.structure_report(data)
-    sys.stdout.write(structure_mod.format_report(report))
+    sys.stdout.write(structure.format_report(structure.structure_report(data)))
     return EXIT_OK
-
-
-def _parse_int(text: str) -> int:
-    """`rational.parse_int`, imported on the first integer argument."""
-    from .rational import parse_int
-
-    return parse_int(text)
 
 
 # An argument is a positional name, or (flag, add_argument keywords).
@@ -269,14 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=f"seifert-actions {__version__}"
+        "--version", action="version", version=f"seifert-actions {lib.__version__}"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, handler, help_text, arguments in VERBS:
         p = sub.add_parser(verb, help=help_text)
-        # `type=int` arguments read the shared integer grammar; argparse
-        # still reports a bad one as "invalid int value"
-        p.register("type", int, _parse_int)
+        # `type=int` arguments read the shared integer grammar, which loads
+        # `rational` at the first one; argparse still reports a bad one as
+        # "invalid int value"
+        p.register("type", int, lambda text: lib.rational.parse_int(text))
         for argument in arguments:
             name, keywords = (argument, {}) if isinstance(argument, str) else argument
             p.add_argument(name, **keywords)
@@ -289,10 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (lib.rational.InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from .rational import Value, parse_int, parse_int_list
+from .rational import InputError, Value, parse_int, parse_int_list
 
 __all__ = [
     "FiniteGroup",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class GroupTableError(ValueError):
+class GroupTableError(InputError):
     """Raised when a multiplication table violates a group axiom."""
 
 
@@ -231,7 +231,7 @@ def generated_subgroup(group: FiniteGroup, generators: list[int]) -> frozenset[i
     return frozenset(members)
 
 
-def keyed_lines(text: str, source: str, error: type[ValueError]):
+def keyed_lines(text: str, source: str, error: type[InputError]):
     """The line format shared by group and action files.
 
     Yields (where, key, value) for each line that is neither blank nor a
@@ -266,10 +266,7 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
         if header is None:
             if key != "order":
                 raise GroupTableError(f"{where}: expected 'order: N'")
-            try:
-                header = parse_int(value)
-            except ValueError:
-                raise GroupTableError(f"{where}: bad order {value!r}") from None
+            header = parse_int(value, GroupTableError, f"{where}: bad order {value!r}")
             continue
         if key is not None:
             raise GroupTableError(f"{where}: expected a table row, got key {key!r}")
@@ -284,7 +281,7 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
     return validate_group(rows)
 
 
-def read_utf8(path: Path, error: type[ValueError]) -> str:
+def read_utf8(path: Path, error: type[InputError]) -> str:
     """The text of a group or action file; a file that is not UTF-8 raises
     `error` naming the path."""
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .orbifold import OrbifoldData, possible_orbit_numbers
-from .rational import Value
+from .rational import InputError, Value
 from .seifert import NormalizedPresentation, SeifertPair, SeifertPresentation
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class RewriteError(ValueError):
+class RewriteError(InputError):
     """Raised when a presentation rewrite is illegal."""
 
 
@@ -41,7 +41,7 @@ class ObstructionWitness(Value):
 
     def __init__(self, orbit_numbers: tuple[int, ...], coefficients: tuple[int, ...]) -> None:
         if len(orbit_numbers) != len(coefficients):
-            raise ValueError("orbit_numbers and coefficients must have equal length")
+            raise InputError("orbit_numbers and coefficients must have equal length")
         object.__setattr__(self, "orbit_numbers", orbit_numbers)
         object.__setattr__(self, "coefficients", coefficients)
 
@@ -91,10 +91,10 @@ def decompose(b: int, orbit_numbers: list[int]) -> ObstructionWitness | None:
     balanced residue modulo what the remaining orbit numbers can absorb.
     """
     if not orbit_numbers:
-        raise ValueError("decompose requires at least one orbit number")
+        raise InputError("decompose requires at least one orbit number")
     for o in orbit_numbers:
         if o < 1:
-            raise ValueError(f"orbit numbers must be positive, got {o}")
+            raise InputError(f"orbit numbers must be positive, got {o}")
     if b % math.gcd(*orbit_numbers) != 0:
         return None
     coefficients = []
@@ -130,9 +130,9 @@ def orbit_constancy_check(h: HFunction, orbit_partition: list[list[int]]) -> boo
     """True iff h is constant on each class of a partition of its slots."""
     covered = sorted(slot for part in orbit_partition for slot in part)
     if covered != list(range(len(h.values))):
-        raise ValueError("orbit partition must cover every slot exactly once")
+        raise InputError("orbit partition must cover every slot exactly once")
     if not all(orbit_partition):
-        raise ValueError("orbit partition classes must be nonempty")
+        raise InputError("orbit partition classes must be nonempty")
     return all(
         len({h.values[slot] for slot in part}) == 1 for part in orbit_partition
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import INT, Value, parse_int, parse_int_list
+from .rational import INT, InputError, Value, parse_int, parse_int_list
 
 __all__ = [
     "OrbifoldData",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class QuotientDataError(ValueError):
+class QuotientDataError(InputError):
     """Raised for malformed or inconsistent orbifold data."""
 
 
@@ -58,9 +58,10 @@ class OrbifoldData(Value):
 
 
 def euler_characteristic(orb: OrbifoldData) -> Fraction:
-    """chi = (2 - 2g) - sum(1 - 1/n) - (1/2) sum(1 - 1/m).
+    """chi = (2 - 2g) - sum(1 - 1/n).
 
-    Defined here for closed orientable underlying spaces only.
+    Defined here for closed orientable underlying spaces only, which have
+    no corner reflectors.
     """
     if orb.with_boundary:
         raise QuotientDataError(
@@ -69,8 +70,6 @@ def euler_characteristic(orb: OrbifoldData) -> Fraction:
     chi = Fraction(2 - 2 * orb.genus)
     for n in orb.cone_orders:
         chi -= 1 - Fraction(1, n)
-    for m in orb.corner_orders:
-        chi -= Fraction(1, 2) * (1 - Fraction(1, m))
     return chi
 
 
@@ -125,12 +124,14 @@ def parse_orbifold(text: str) -> OrbifoldData:
     A nonempty corner list marks the orbifold as having boundary; the
     format has no separate boundary flag.
     """
+    message = f"not an orbifold data set: {text!r}"
     m = _ORBIFOLD_RE.fullmatch(text.strip())
     if m is None:
-        raise QuotientDataError(f"not an orbifold data set: {text!r}")
+        raise QuotientDataError(message)
+    genus = parse_int(m.group(1), QuotientDataError, message)
     cones = _parse_order_list(m.group(2))
     corners = _parse_order_list(m.group(3))
-    return OrbifoldData(parse_int(m.group(1)), cones, corners, with_boundary=bool(corners))
+    return OrbifoldData(genus, cones, corners, with_boundary=bool(corners))
 
 
 def format_orbifold(orb: OrbifoldData) -> str:

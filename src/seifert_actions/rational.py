@@ -7,12 +7,14 @@ witnesses) is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
 __all__ = [
     "Fraction",
     "INT",
+    "InputError",
     "RationalAngle",
     "ZERO_ANGLE",
     "Value",
@@ -37,15 +39,35 @@ _INT_LIST_RES = {
 _FRACTION_RE = re.compile(rf"({INT})(?:/(?!-)({INT}))?")
 
 
-def parse_int(text: str) -> int:
-    """Read one integer token; surrounding whitespace is allowed."""
+class InputError(ValueError):
+    """Base of the library's errors for bad input: text that does not parse,
+    or data that breaks a rule of its type.  The CLI reports these, and
+    OSError, as input errors; any other exception is a fault."""
+
+
+def _ints(tokens, error: type[InputError], message: str) -> tuple[int, ...]:
+    """int() of tokens already matched against INT.  A token with more
+    digits than int() converts (`sys.get_int_max_str_digits`) raises
+    `error(message)`, with the limit."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise error(f"{message} (an integer has more than {limit} digits)") from None
+
+
+def parse_int(text: str, error: type[InputError] = InputError, message: str = "") -> int:
+    """Read one integer token; surrounding whitespace is allowed.  A text
+    that is not one token raises `error(message)`; the default message
+    names the text."""
+    message = message or f"invalid int value: {text!r}"
     if _INT_RE.fullmatch(text.strip()) is None:
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+        raise error(message)
+    return _ints((text,), error, message)[0]
 
 
 def parse_int_list(
-    text: str, error: type[ValueError], message: str, sep: str | None = ","
+    text: str, error: type[InputError], message: str, sep: str | None = ","
 ) -> tuple[int, ...]:
     """Read integer tokens separated by `sep`, or by whitespace when `sep`
     is None.  A blank text is the empty list; a text that is not a list,
@@ -53,18 +75,18 @@ def parse_int_list(
     if _INT_LIST_RES[sep].fullmatch(text) is None:
         raise error(message)
     # the match is the only check: int() reads each token with its whitespace
-    return tuple(map(int, text.split(sep))) if text.strip() else ()
+    return _ints(text.split(sep), error, message) if text.strip() else ()
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'a' or 'a/b' (b > 0) into an exact Fraction."""
+    message = f"not a fraction: {text!r}"
     m = _FRACTION_RE.fullmatch(text.strip())
     if m is None:
-        raise ValueError(f"not a fraction: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+        raise InputError(message)
+    num, den = _ints((m.group(1), m.group(2) or "1"), InputError, message)
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise InputError(f"zero denominator in {text!r}")
     return Fraction(num, den)
 
 

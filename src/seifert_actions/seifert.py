@@ -10,11 +10,12 @@ carry; normalization picks the canonical representative of each class.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 
-from .rational import INT, Value, parse_int
+from .rational import INT, InputError, Value, parse_int
 
 __all__ = [
     "GluingPair",
@@ -44,14 +45,15 @@ __all__ = [
 ]
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     """Raised when an operation receives an invalid presentation."""
 
 
-class MoveError(ValueError):
+class MoveError(InputError):
     """Raised when a move's preconditions fail."""
 
 
+@functools.total_ordering
 class SeifertPair(Value):
     """One filling pair (q, p); q = 1 marks a regular fiber.  Pairs are
     ordered by (q, p).
@@ -71,21 +73,6 @@ class SeifertPair(Value):
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.q, self.p) < (other.q, other.p)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.q, self.p) <= (other.q, other.p)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.q, self.p) > (other.q, other.p)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.q, self.p) >= (other.q, other.p)
         return NotImplemented
 
     def is_trivial(self) -> bool:
@@ -141,7 +128,7 @@ def pair_problems(pairs) -> list[str]:
     return problems
 
 
-def require_pair(pair: SeifertPair, error: type[ValueError] = PresentationError) -> None:
+def require_pair(pair: SeifertPair, error: type[InputError] = PresentationError) -> None:
     """Raise `error` unless `pair` obeys the rule of `pair_problems`."""
     if pair_problems((pair,)):
         raise error(f"invalid Seifert pair {pair}")
@@ -288,37 +275,36 @@ _PAIR_RE = re.compile(rf"\(({INT}),({INT})\)")
 
 def parse_pair(text: str) -> SeifertPair:
     """Parse a single pair written (q,p); whitespace-insensitive."""
-    compact = re.sub(r"\s+", "", text)
-    m = _PAIR_RE.fullmatch(compact)
+    message = f"not a Seifert pair: {text!r}"
+    m = _PAIR_RE.fullmatch(re.sub(r"\s+", "", text))
     if m is None:
-        raise PresentationError(f"not a Seifert pair: {text!r}")
-    return SeifertPair(parse_int(m.group(1)), parse_int(m.group(2)))
+        raise PresentationError(message)
+    return SeifertPair(*(parse_int(t, PresentationError, message) for t in m.groups()))
 
 
 def parse_presentation(text: str) -> SeifertPresentation:
     """Parse `(g, o1 | (q1,p1), (q2,p2), ...)`; whitespace-insensitive."""
-    compact = re.sub(r"\s+", "", text)
-    m = re.fullmatch(rf"\(({INT}),o1\|(.*)\)", compact)
+    message = f"not a presentation: {text!r}"
+    m = re.fullmatch(rf"\(({INT}),o1\|(.*)\)", re.sub(r"\s+", "", text))
     if m is None:
-        raise PresentationError(f"not a presentation: {text!r}")
-    genus = parse_int(m.group(1))
+        raise PresentationError(message)
+    tokens = [m.group(1)]
     body = m.group(2)
-    pairs = []
-    if body:
-        pos = 0
-        while pos < len(body):
-            if pairs:
-                if body[pos] != ",":
-                    raise PresentationError(
-                        f"expected ',' between pairs at position {pos} of {text!r}"
-                    )
-                pos += 1
-            pm = _PAIR_RE.match(body, pos)
-            if pm is None:
-                raise PresentationError(f"bad pair at position {pos} of {text!r}")
-            pairs.append(SeifertPair(parse_int(pm.group(1)), parse_int(pm.group(2))))
-            pos = pm.end()
-    return SeifertPresentation(genus, tuple(pairs))
+    pos = 0
+    while pos < len(body):
+        if pos:
+            if body[pos] != ",":
+                raise PresentationError(
+                    f"expected ',' between pairs at position {pos} of {text!r}"
+                )
+            pos += 1
+        pm = _PAIR_RE.match(body, pos)
+        if pm is None:
+            raise PresentationError(f"bad pair at position {pos} of {text!r}")
+        tokens += pm.groups()
+        pos = pm.end()
+    genus, *ints = (parse_int(t, PresentationError, message) for t in tokens)
+    return SeifertPresentation(genus, tuple(map(SeifertPair, ints[::2], ints[1::2])))
 
 
 def format_presentation(pres: SeifertPresentation) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import RationalAngle, Value, ZERO_ANGLE
+from .rational import InputError, RationalAngle, Value, ZERO_ANGLE
 from .seifert import SeifertPair, gluing_pair
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 
 class TorusAutomorphism(Value):
     """The matrix entries must be ints (any other type raises TypeError)
-    forming a matrix of determinant +-1 (otherwise ValueError)."""
+    forming a matrix of determinant +-1 (otherwise InputError)."""
 
     __slots__ = __match_args__ = ("m11", "m12", "m21", "m22", "phase1", "phase2")
     m11: int
@@ -53,7 +53,7 @@ class TorusAutomorphism(Value):
         ):
             raise TypeError(f"matrix entries must be ints, got {(m11, m12, m21, m22)!r}")
         if abs(m11 * m22 - m12 * m21) != 1:
-            raise ValueError(
+            raise InputError(
                 f"matrix [[{m11},{m12}],[{m21},{m22}]] is not invertible over the integers"
             )
         object.__setattr__(self, "m11", m11)

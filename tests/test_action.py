@@ -104,6 +104,18 @@ def test_structural_validation():
             cyclic_group(2), (SeifertPair(4, 2),), (1, 1),
             (ZERO_ANGLE,) * 2, ((0,),) * 2, ((ZERO_ANGLE,),) * 2,
         )
+    with pytest.raises(ActionDataError, match="^at least one boundary component"):
+        make_action(cyclic_group(2), (), (1, 1), (ZERO_ANGLE,) * 2, ((),) * 2, ((),) * 2)
+    with pytest.raises(ActionDataError, match=r"^theta1 has 1 entries, expected one per element \(2\)$"):
+        make_action(
+            cyclic_group(2), (SeifertPair(2, 1),), (1, 1),
+            (ZERO_ANGLE,), ((0,),) * 2, ((ZERO_ANGLE,),) * 2,
+        )
+    with pytest.raises(ActionDataError, match=r"^theta2\[1\] has 1 angles, expected 2$"):
+        make_action(
+            cyclic_group(2), (SeifertPair(2, 1),) * 2, (1, 1),
+            (ZERO_ANGLE,) * 2, ((0, 1),) * 2, ((ZERO_ANGLE,) * 2, (ZERO_ANGLE,)),
+        )
 
 
 def test_boundary_action_examples():
@@ -506,6 +518,21 @@ def test_action_parse_errors_cite_lines(tmp_path):
         ("1/5 beta=(1)", "1/5 beta=(+1)", r":4: bad beta '\(\+1\)'"),
         ("theta1=1/5 beta=(1) theta2=0", "theta1=1/5 beta=(1) theta2=٠", ":4: bad angle '٠'"),
         ("theta1=1/5", "theta1=١/٢", ":4: bad angle '١/٢'"),
+    ]:
+        with pytest.raises(ActionFormatError, match=message):
+            parse_action_text(text.replace(old, new), base_dir=tmp_path)
+
+    # a NUL byte in the group file name and a token longer than int() reads
+    # are errors of their line
+    bad = text.replace("group: g.txt", "group: g\0.txt")
+    with pytest.raises(ActionFormatError, match=re.escape(":1: group file name 'g\\x00.txt' holds")):
+        parse_action_text(bad, base_dir=tmp_path)
+    long = "1" * 5000
+    for old, new, message in [
+        ("1/5 beta=(1)", f"1/5 beta=({long})", ":4: bad beta"),
+        ("theta1=1/5", f"theta1=1/{long}", ":4: bad angle"),
+        ("pairs: (3,2)", f"pairs: (3,{long})", ":2: not a Seifert pair"),
+        ("1: alpha=-1", f"{long}: alpha=-1", ":4: unknown key"),
     ]:
         with pytest.raises(ActionFormatError, match=message):
             parse_action_text(text.replace(old, new), base_dir=tmp_path)

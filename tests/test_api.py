@@ -1,6 +1,7 @@
 """The public names of the library, the names the benchmark wraps and the
 README's library example all exist and work."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -13,6 +14,7 @@ import pytest
 import seifert_actions
 from helpers import run_python
 from seifert_actions import seifert
+from seifert_actions.rational import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PY = ROOT / "perfbench" / "spans.py"
@@ -66,6 +68,47 @@ def test_star_import_in_a_fresh_interpreter():
         "print(sorted(set(names) - {'__builtins__'}) == sorted(seifert_actions.__all__))\n"
     )
     assert out == "['seifert_actions']\nTrue\n"
+
+
+def test_submodules_resolve_as_package_attributes():
+    # a module read through the package is loaded then, and only then
+    out = run_python(
+        "import sys, seifert_actions as lib\n"
+        "print('seifert_actions.torus' in sys.modules, lib.torus.__name__, "
+        "lib.torus is sys.modules['seifert_actions.torus'])\n"
+    )
+    assert out == "False seifert_actions.torus True\n"
+    assert set(seifert_actions._MODULES) <= set(dir(seifert_actions))
+
+
+def test_no_function_imports_a_library_module():
+    # late loading is the package's job: code reads `seifert_actions.<module>`
+    for path in sorted(Path(seifert_actions.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):  # a relative import is local
+                    names = ["seifert_actions"] if node.level else [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                assert all(name.partition(".")[0] != "seifert_actions" for name in names), (
+                    f"{path.name}:{node.lineno}: {func.name} imports a library module"
+                )
+
+
+def test_every_library_error_is_an_input_error():
+    errors = [
+        value
+        for module in library_modules().values()
+        for name in getattr(module, "__all__", ())
+        if isinstance(value := getattr(module, name), type) and issubclass(value, Exception)
+    ]
+    assert len(errors) == 9  # InputError and the 8 classes derived from it
+    assert all(issubclass(error, InputError) for error in errors)
+    assert issubclass(InputError, ValueError)
 
 
 def test_every_benchmark_span_target_exists():

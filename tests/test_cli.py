@@ -1,8 +1,14 @@
+import contextlib
+import io
+import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    PROPERTY,
     dihedral_d3_action,
     klein_action,
     mixed_orbit_action,
@@ -11,11 +17,12 @@ from helpers import (
     rotation_z3,
     run_python,
 )
-from seifert_actions import __version__
+from seifert_actions import __version__, cli
 from seifert_actions.action import format_action, verify_action
 from seifert_actions.cli import main
 from seifert_actions.groups import format_group
 from seifert_actions.seifert import SeifertPair, parse_presentation
+from test_cli_golden import write_files
 
 
 def run(capsys, *argv):
@@ -420,3 +427,101 @@ def test_action_verbs_load_only_the_modules_they_need(tmp_path, argv, extra):
     modules = ("action", "groups", "rational", "seifert", *extra)
     assert code == 0
     assert loaded == BASE | {f"seifert_actions.{m}" for m in modules}
+
+
+def test_a_plain_value_error_is_a_fault_not_an_input_error(monkeypatch):
+    def broken(pres):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("seifert_actions.seifert.euler_number", broken)
+    with pytest.raises(ValueError, match="^internal fault$"):
+        main(["euler", "(0,o1|(3,2))"])
+
+
+LONG = "1" * 5000  # more digits than int() reads by default
+TOO_LONG = f" (an integer has more than {sys.get_int_max_str_digits()} digits)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["euler", f"(0,o1|(3,{LONG}))"], f"not a presentation: '(0,o1|(3,{LONG}))'"),
+    (["decompose", "--b", "5", "--orbits", f"2,{LONG}"], f"bad orbit list: '2,{LONG}'"),
+    (["orbit-numbers", "--order", "6", f"genus:0 cone:(2,{LONG}) corner:()"],
+     f"bad order list: '2,{LONG}'"),
+], ids=["presentation", "orbit-list", "order-list"])
+def test_integers_too_long_to_read_name_their_input(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}{TOO_LONG}")
+
+
+def test_file_errors_name_their_line(capsys, tmp_path):
+    path = write_action(tmp_path, rotation_z3())
+    action_file = tmp_path / "action.txt"
+    text = action_file.read_text(encoding="utf-8")
+    action_file.write_text(text.replace("beta=(2,3,1)", f"beta=({LONG})"), encoding="utf-8")
+    want = f"error: {path}:4: bad beta '({LONG})'{TOO_LONG}"
+    assert run(capsys, "verify-action", path) == (2, "", want)
+    action_file.write_text(
+        text.replace("group: action_group.txt", "group: action\0group.txt"), encoding="utf-8"
+    )
+    want = f"error: {path}:1: group file name 'action\\x00group.txt' holds a NUL byte\n"
+    assert run(capsys, "verify-action", path) == (2, "", want)
+
+
+INTS = ["0", "1", "2", "3", "-1", "12", "٣", "1_0", LONG]
+PRESENTATIONS = [
+    "(0,o1|(3,2))", "(0,o1|(3,2),(3,2),(1,2))", "(1,o1|)", "(0,o1|(4,2))", "(-1,o1|(3,2))",
+    "(0,o1|(0,1))", "(0,o1|(3,2)", "(3,2)", f"(0,o1|(3,{LONG}))",
+]
+ORBIFOLDS = [
+    "genus:0 cone:(2,3) corner:()", "genus:0 cone:(2) corner:(2)", "genus:1 cone:() corner:(2,3)",
+    "genus:0 cone:(1) corner:()", "genus:-1 cone:() corner:()", "genus:0 cone:(2,,3) corner:()",
+    f"genus:0 cone:({LONG}) corner:()",
+]
+LISTS = ["2,3", "1,1", "2,0,1", "2,,3", "", "0", "3,-1", "1;2", "1,2;3", "1;;2", f"2,{LONG}"]
+# argument name -> the values drawn for it; action_file takes the golden files
+VALUES = {
+    "presentation": PRESENTATIONS, "presentation_a": PRESENTATIONS,
+    "presentation_b": PRESENTATIONS, "pair": ["(3,2)", "(2,4)", "(0,5)", "(3,2", "(1,0)"],
+    "orbifold": ORBIFOLDS, "--b": INTS, "--order": INTS, "--element": INTS, "--index": INTS,
+    "--orbits": LISTS, "--h": LISTS, "--partition": LISTS,
+}
+STRAYS = ["--help", "--version", "--b", "--sign", "1", "(3,2)", LONG]
+
+
+def argvs(values):
+    """argvs that follow the verb table: each argument takes one of its
+    values, an optional flag may be left out, and a stray token may follow."""
+    verbs = []
+    for verb, _, _, arguments in cli.VERBS:
+        parts = [st.just([verb])]
+        for argument in arguments:
+            name, keywords = (argument, {}) if isinstance(argument, str) else argument
+            if keywords.get("action") == "store_true":
+                choices = [[name]]
+            else:
+                prefix = [name] if name.startswith("-") else []
+                choices = [prefix + [value] for value in values[name]]
+            if name.startswith("-") and not keywords.get("required"):
+                choices.append([])
+            parts.append(st.sampled_from(choices))
+        parts.append(st.sampled_from([[]] * 7 * len(STRAYS) + [[t] for t in STRAYS]))
+        verbs.append(st.tuples(*parts).map(lambda parts: sum(parts, [])))
+    return st.one_of(verbs)
+
+
+def test_every_argv_exits_0_2_or_3(tmp_path):
+    write_files(tmp_path)  # the valid and malformed action files of the golden cases
+    values = {**VALUES, "action_file": sorted(str(p) for p in tmp_path.glob("*.action"))}
+
+    @settings(PROPERTY, max_examples=250)
+    @given(argvs(values))
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

@@ -315,6 +315,19 @@ def test_table_checks_match_the_per_entry_reference(table):
         assert message == expected
 
 
+def test_builders_and_parser_reject_empty_groups():
+    with pytest.raises(GroupTableError, match="^cyclic group order must be positive, got 0$"):
+        cyclic_group(0)
+    with pytest.raises(GroupTableError, match="^dihedral parameter must be positive, got 0$"):
+        dihedral_group(0)
+    for text in ["", "\n  \n", "# a comment\n\n# another\n"]:
+        with pytest.raises(GroupTableError, match="^g.txt: missing 'order:' header$"):
+            parse_group_text(text, source="g.txt")
+    long = "1" * 5000
+    with pytest.raises(GroupTableError, match="^g.txt:1: bad order '1{5000}' \\(an integer has"):
+        parse_group_text(f"order: {long}\n", source="g.txt")
+
+
 def test_parse_group_text_errors():
     with pytest.raises(GroupTableError, match="order"):
         parse_group_text("2\n0 1\n1 0\n")

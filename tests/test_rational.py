@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -12,6 +13,7 @@ from helpers import PROPERTY
 
 from seifert_actions.rational import (
     ZERO_ANGLE,
+    InputError,
     RationalAngle,
     angle,
     parse_fraction,
@@ -47,6 +49,12 @@ def test_angle_known_values():
     assert angle(1, 2) + angle(2, 3) == angle(1, 6)
     assert angle(1, 3).scale(-3) == ZERO_ANGLE
     assert angle(2, 5).scale(2) == angle(4, 5)
+
+
+def test_angle_subtraction():
+    assert angle(1, 3) - angle(1, 2) == angle(5, 6)
+    assert angle(2, 7) - angle(2, 7) == ZERO_ANGLE
+    assert ZERO_ANGLE - angle(1, 4) == -angle(1, 4) == angle(3, 4)
 
 
 def test_angle_group_laws_random():
@@ -109,6 +117,20 @@ def test_parse_fraction_rejects_tokens_outside_the_grammar():
 
 class _ListError(ValueError):
     pass
+
+
+def test_tokens_longer_than_int_reads_raise_the_callers_error():
+    long = "1" * 5000
+    suffix = re.escape(f"(an integer has more than {sys.get_int_max_str_digits()} digits)")
+    with pytest.raises(InputError, match=f"^invalid int value: '1{{5000}}' {suffix}$"):
+        parse_int(long)
+    with pytest.raises(_ListError, match=f"^bad {suffix}$"):
+        parse_int(f" -{long} ", _ListError, "bad")
+    for text, sep in [(f"2,{long}", ","), (f"2 {long}", None)]:
+        with pytest.raises(_ListError, match=f"^bad list {suffix}$"):
+            parse_int_list(text, _ListError, "bad list", sep)
+    with pytest.raises(InputError, match=f"^not a fraction: '1/1{{5000}}' {suffix}$"):
+        parse_fraction(f"1/{long}")
 
 
 NON_ASCII_DIGITS = st.characters(categories=["Nd"], exclude_characters="0123456789")

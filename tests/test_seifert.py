@@ -110,6 +110,12 @@ def test_move_preconditions():
         shift(p, 0, 0, 1)
     with pytest.raises(MoveError):
         permute(p, [0, 0])
+    with pytest.raises(MoveError, match="^pair index 2 out of range$"):
+        delete_trivial(p, 2)
+    with pytest.raises(MoveError, match=r"^pair index out of range: i=0, j=-1$"):
+        shift(p, 0, -1, 1)
+    with pytest.raises(MoveError, match="^unknown move 'twist'$"):
+        apply_move(p, ("twist", 0))
     assert delete_trivial(pres("(0,o1|(1,0))"), 0) == pres("(0,o1|)")
 
 

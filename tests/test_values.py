@@ -150,8 +150,11 @@ def test_seifert_pair_order_matches_the_dataclass():
     for (new1, old1, _), (new2, old2, _) in product(samples, repeat=2):
         for op in (operator.lt, operator.le, operator.gt, operator.ge):
             assert op(new1, new2) is op(old1, old2)
-    with pytest.raises(TypeError):
-        P < (3, 2)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(P, (3, 2))
+        with pytest.raises(TypeError):
+            op((3, 2), P)
     assert sorted([Q, SeifertPair(3, -1), P]) == [SeifertPair(3, -1), P, Q]
 
 
