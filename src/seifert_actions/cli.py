@@ -5,6 +5,12 @@ decision (not equivalent, obstruction unsatisfied, invalid data), 2 for
 parse or usage errors.  Output is plain text and byte-for-byte
 deterministic for identical inputs.
 
+A handler maps the parsed arguments to `(exit status, *answer)`; `main`
+alone turns the answer into text, one line per item, a `(label, value)`
+item as `label: value`.  It rejects (exit 2) an answer with an integer too
+long for `str()` rather than lift the interpreter's digit limit, which also
+caps the integers read from the input.
+
 Handlers read the library modules as attributes of the package, which
 loads each one on first use (`seifert_actions.__getattr__`), so a call
 loads only the modules its verb uses, and `--help`, `--version` and usage
@@ -15,7 +21,6 @@ OSError; any other exception is a fault and is not caught.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import seifert_actions as lib
@@ -52,123 +57,106 @@ def _load_verified_action(path: str):
     return data
 
 
-def _decide(positive: bool, yes: str, no: str) -> int:
-    """Print `yes` or `no` as the answer: exit 0 for yes, 3 for no."""
-    print(yes if positive else no)
-    return EXIT_OK if positive else EXIT_NEGATIVE
+def _decide(positive: bool, yes: str, no: str) -> tuple:
+    """Answer `yes` (exit 0) or `no` (exit 3)."""
+    return (EXIT_OK, yes) if positive else (EXIT_NEGATIVE, no)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     seifert = lib.seifert
     problems = seifert.validate(seifert.parse_presentation(args.presentation))
     return _decide(not problems, "ok", "\n".join(problems))
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple:
     seifert = lib.seifert
     pres = seifert.parse_presentation(args.presentation)
-    print(seifert.format_normalized(seifert.normalize(pres)))
-    return EXIT_OK
+    return EXIT_OK, seifert.normalize(pres)
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple:
     seifert = lib.seifert
     a = seifert.parse_presentation(args.presentation_a)
     b = seifert.parse_presentation(args.presentation_b)
     return _decide(seifert.equivalent(a, b), "equivalent", "not equivalent")
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args) -> tuple:
     seifert = lib.seifert
-    print(seifert.euler_number(seifert.parse_presentation(args.presentation)))
-    return EXIT_OK
+    return EXIT_OK, seifert.euler_number(seifert.parse_presentation(args.presentation))
 
 
-def _cmd_glue_pair(args) -> int:
+def _cmd_glue_pair(args) -> tuple:
     seifert = lib.seifert
     gp = seifert.gluing_pair(seifert.parse_pair(args.pair))
     fq, fy = seifert.induced_fibration(gp)
-    print(f"x={gp.x} y={gp.y}")
-    print(f"fibration: ({fq},{fy})")
-    return EXIT_OK
+    return EXIT_OK, f"x={gp.x} y={gp.y}", ("fibration", f"({fq},{fy})")
 
 
-def _cmd_orbifold_chi(args) -> int:
+def _cmd_orbifold_chi(args) -> tuple:
     orbifold = lib.orbifold
     orb = orbifold.parse_orbifold(args.orbifold)
-    print(orbifold.euler_characteristic(orb))
-    if args.sign:
-        print(orbifold.geometry_sign(orb))
-    return EXIT_OK
+    chi = orbifold.euler_characteristic(orb)
+    return (EXIT_OK, chi, orbifold.geometry_sign(orb)) if args.sign else (EXIT_OK, chi)
 
 
-def _cmd_orbit_numbers(args) -> int:
+def _cmd_orbit_numbers(args) -> tuple:
     orbifold = lib.orbifold
     numbers = orbifold.possible_orbit_numbers(args.order, orbifold.parse_orbifold(args.orbifold))
-    print(" ".join(str(n) for n in sorted(numbers)))
-    return EXIT_OK
+    return EXIT_OK, " ".join(str(n) for n in sorted(numbers))
 
 
-def _cmd_check_obstruction(args) -> int:
+def _cmd_check_obstruction(args) -> tuple:
     obstruction = lib.obstruction
     orb = lib.orbifold.parse_orbifold(args.orbifold)
-    print(f"divisor: {obstruction.obstruction_divisor(args.order, orb)}")
+    divisor = obstruction.obstruction_divisor(args.order, orb)
     satisfied = obstruction.satisfies_obstruction_divisibility(args.b, args.order, orb)
-    return _decide(satisfied, "satisfied", "not satisfied")
+    status, verdict = _decide(satisfied, "satisfied", "not satisfied")
+    return status, ("divisor", divisor), verdict
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple:
     obstruction = lib.obstruction
     witness = obstruction.decompose(args.b, _parse_int_list(args.orbits, "orbit list"))
     if witness is None:
-        print("impossible")
-        return EXIT_NEGATIVE
-    print(obstruction.format_witness(args.b, witness))
-    return EXIT_OK
+        return EXIT_NEGATIVE, "impossible"
+    return EXIT_OK, obstruction.format_witness(args.b, witness)
 
 
-def _cmd_rewrite(args) -> int:
+def _cmd_rewrite(args) -> tuple:
     seifert, obstruction = lib.seifert, lib.obstruction
     norm = seifert.normalize(seifert.parse_presentation(args.presentation))
     h = obstruction.HFunction(_parse_int_list(args.h, "h list"))
     partition = None if args.partition is None else _parse_partition(args.partition)
-    print(seifert.format_presentation(obstruction.rewrite_presentation(norm, h, partition)))
-    return EXIT_OK
+    return EXIT_OK, obstruction.rewrite_presentation(norm, h, partition)
 
 
-def _cmd_verify_action(args) -> int:
+def _cmd_verify_action(args) -> tuple:
     problems = lib.action.verify_action(lib.action.parse_action_file(args.action_file))
     return _decide(not problems, "ok", "\n".join(problems))
 
 
-def _cmd_torus_map(query: str, args) -> int:
-    """boundary-action and filling-action: the library query `query` for
-    one element on one boundary torus of a verified action."""
+def _torus_map(query, args) -> tuple:
+    """boundary-action and filling-action: `query` for one element on one
+    boundary torus of a verified action."""
     data = _load_verified_action(args.action_file)
     if not 1 <= args.index <= data.n_boundary:
         raise lib.rational.InputError(
             f"boundary index {args.index} out of range 1..{data.n_boundary}"
         )
-    # looked up per call, so that wrappers installed on the module are seen
-    target, auto = getattr(lib.action, query)(data, args.element, args.index - 1)
-    print(f"target: {target + 1}")
-    print(f"map: {auto}")
-    return EXIT_OK
+    target, auto = query(data, args.element, args.index - 1)
+    return EXIT_OK, ("target", target + 1), ("map", auto)
 
 
-def _cmd_orbits(args) -> int:
-    data = _load_verified_action(args.action_file)
-    sizes = lib.action.boundary_orbit_numbers(data)
-    for i in range(data.n_boundary):
-        print(f"{i + 1}: {sizes[i]}")
-    return EXIT_OK
+def _cmd_orbits(args) -> tuple:
+    sizes = lib.action.boundary_orbit_numbers(_load_verified_action(args.action_file))
+    return EXIT_OK, *((i + 1, size) for i, size in sizes.items())
 
 
-def _cmd_structure(args) -> int:
+def _cmd_structure(args) -> tuple:
     structure = lib.structure
-    data = _load_verified_action(args.action_file)
-    sys.stdout.write(structure.format_report(structure.structure_report(data)))
-    return EXIT_OK
+    report = structure.structure_report(_load_verified_action(args.action_file))
+    return EXIT_OK, structure.format_report(report).removesuffix("\n")
 
 
 # An argument is a positional name, or (flag, add_argument keywords).
@@ -202,16 +190,18 @@ VERBS = [
     ]),
     ("rewrite", _cmd_rewrite, "spread the class b over fiber slots", [
         "presentation",
-        ("--h", {"required": True, "help": "comma-separated slot values"}),
+        ("--h", {"required": True, "help": "comma-separated slot values; write a list "
+                                          "that starts with a negative value as --h=-1,0"}),
         ("--partition", {
             "help": "orbit classes of slots, e.g. '1,2;3' (1-based, ';'-separated)",
         }),
     ]),
     ("verify-action", _cmd_verify_action, "check the action compatibility laws",
      ["action_file"]),
-    ("boundary-action", functools.partial(_cmd_torus_map, "boundary_action"),
+    # the query is read from `lib.action` per call, so wrappers installed there are seen
+    ("boundary-action", lambda args: _torus_map(lib.action.boundary_action, args),
      "action on a boundary torus", ["action_file", _ELEMENT, _INDEX]),
-    ("filling-action", functools.partial(_cmd_torus_map, "induced_filling_action"),
+    ("filling-action", lambda args: _torus_map(lib.action.induced_filling_action, args),
      "induced action on a filled torus", ["action_file", _ELEMENT, _INDEX]),
     ("orbits", _cmd_orbits, "boundary orbit numbers of an action", ["action_file"]),
     ("structure", _cmd_structure, "group-structure report of an action", ["action_file"]),
@@ -244,10 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, *answer = args.func(args)
+        try:
+            text = "\n".join(
+                f"{item[0]}: {item[1]}" if isinstance(item, tuple) else str(item) for item in answer
+            )
+        except ValueError:  # str() refuses an integer longer than the digit limit
+            limit = sys.get_int_max_str_digits()
+            raise lib.rational.InputError(f"the answer has an integer of more than {limit} digits")
     except (lib.rational.InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    print(text)
+    return status

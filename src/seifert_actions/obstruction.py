@@ -10,6 +10,7 @@ Both deciders are implemented and kept in exact agreement.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .orbifold import OrbifoldData, possible_orbit_numbers
 from .rational import InputError, Value
@@ -97,15 +98,14 @@ def decompose(b: int, orbit_numbers: list[int]) -> ObstructionWitness | None:
             raise InputError(f"orbit numbers must be positive, got {o}")
     if b % math.gcd(*orbit_numbers) != 0:
         return None
+    # one backward pass: tail_gcds[i] = gcd(orbit_numbers[i + 1:]), 0 for the empty tail
+    tail_gcds = [*accumulate(reversed(orbit_numbers), math.gcd, initial=0)][-2::-1]
     coefficients = []
     remaining = b
-    for idx, o in enumerate(orbit_numbers):
-        tail = orbit_numbers[idx + 1 :]
-        if not tail:
+    for o, tail_gcd in zip(orbit_numbers, tail_gcds):
+        if not tail_gcd:
             coefficients.append(remaining // o)
-            remaining = 0
             break
-        tail_gcd = math.gcd(*tail)
         g = math.gcd(o, tail_gcd)
         modulus = tail_gcd // g
         # solve c * o = remaining (mod tail_gcd)

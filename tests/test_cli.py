@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -21,8 +23,9 @@ from seifert_actions import __version__, cli
 from seifert_actions.action import format_action, verify_action
 from seifert_actions.cli import main
 from seifert_actions.groups import format_group
+from seifert_actions.rational import angle
 from seifert_actions.seifert import SeifertPair, parse_presentation
-from test_cli_golden import write_files
+from test_cli_golden import BIG_Q1, BIG_Q2, write_files
 
 
 def run(capsys, *argv):
@@ -438,6 +441,18 @@ def test_a_plain_value_error_is_a_fault_not_an_input_error(monkeypatch):
         main(["euler", "(0,o1|(3,2))"])
 
 
+def test_only_main_writes_stdout():
+    # handlers return their answers; main alone turns them into text
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    tree.body = [
+        stmt for stmt in tree.body if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "main")
+    ]
+    for node in ast.walk(tree):
+        prints = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        stdout = isinstance(node, ast.Attribute) and node.attr == "stdout"
+        assert not (prints or stdout), f"cli.py:{node.lineno} writes stdout outside main"
+
+
 LONG = "1" * 5000  # more digits than int() reads by default
 TOO_LONG = f" (an integer has more than {sys.get_int_max_str_digits()} digits)\n"
 
@@ -450,6 +465,18 @@ TOO_LONG = f" (an integer has more than {sys.get_int_max_str_digits()} digits)\n
 ], ids=["presentation", "orbit-list", "order-list"])
 def test_integers_too_long_to_read_name_their_input(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}{TOO_LONG}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", f"(0,o1|(1,{'9' * 4300}),(1,{'9' * 4300}))"],
+    ["rewrite", f"(0,o1|({BIG_Q1},1),({BIG_Q2},1))", f"--h={10**1400},{-10**1400}"],
+    ["filling-action", "{path}", "--element", "1", "--index", "1"],
+], ids=["normalize", "rewrite", "filling-action"])
+def test_answers_too_long_to_print_exit_2(capsys, tmp_path, argv):
+    # euler and orbifold-chi have golden cases; the digit limit is not raised
+    path = write_action(tmp_path, reflection_z2(t=angle(1, BIG_Q1), s=angle(1, BIG_Q2)))
+    want = f"error: the answer has an integer of more than {sys.get_int_max_str_digits()} digits\n"
+    assert run(capsys, *(arg.replace("{path}", path) for arg in argv)) == (2, "", want)
 
 
 def test_file_errors_name_their_line(capsys, tmp_path):
@@ -470,11 +497,12 @@ INTS = ["0", "1", "2", "3", "-1", "12", "٣", "1_0", LONG]
 PRESENTATIONS = [
     "(0,o1|(3,2))", "(0,o1|(3,2),(3,2),(1,2))", "(1,o1|)", "(0,o1|(4,2))", "(-1,o1|(3,2))",
     "(0,o1|(0,1))", "(0,o1|(3,2)", "(3,2)", f"(0,o1|(3,{LONG}))",
+    f"(0,o1|({BIG_Q1},1),({BIG_Q2},1))",  # an answer too long for str()
 ]
 ORBIFOLDS = [
     "genus:0 cone:(2,3) corner:()", "genus:0 cone:(2) corner:(2)", "genus:1 cone:() corner:(2,3)",
     "genus:0 cone:(1) corner:()", "genus:-1 cone:() corner:()", "genus:0 cone:(2,,3) corner:()",
-    f"genus:0 cone:({LONG}) corner:()",
+    f"genus:0 cone:({LONG}) corner:()", f"genus:0 cone:({BIG_Q1},{BIG_Q2}) corner:()",
 ]
 LISTS = ["2,3", "1,1", "2,0,1", "2,,3", "", "0", "3,-1", "1;2", "1,2;3", "1;;2", f"2,{LONG}"]
 # argument name -> the values drawn for it; action_file takes the golden files

@@ -22,6 +22,8 @@ from seifert_actions.cli import main
 from seifert_actions.groups import format_group
 
 HYPERBOLIC = "genus:0 cone:(2,2,3,3,3) corner:()"
+# two 3,000-digit orders, whose Euler number and chi have about 6,000 digits
+BIG_Q1, BIG_Q2 = 10**2999 + 1, 10**2999 + 3
 
 
 def write_files(d):
@@ -96,6 +98,7 @@ CASES = {
     "euler/ok": ["euler", "(0,o1|(3,2),(3,2),(1,2))"],
     "euler/zero": ["euler", "(0,o1|)"],
     "euler/invalid": ["euler", "(0,o1|(0,1))"],
+    "euler/long-answer": ["euler", f"(0,o1|({BIG_Q1},1),({BIG_Q2},1))"],
     "glue-pair/ok": ["glue-pair", "(3,2)"],
     "glue-pair/negative-p": ["glue-pair", "(5,-3)"],
     "glue-pair/regular": ["glue-pair", "( 1 , 0 )"],
@@ -108,6 +111,7 @@ CASES = {
     "orbifold-chi/order-one": ["orbifold-chi", "genus:0 cone:(1) corner:()"],
     "orbifold-chi/malformed": ["orbifold-chi", "genus:x cone:() corner:()"],
     "orbifold-chi/corners": ["orbifold-chi", "genus:0 cone:(2) corner:(2)"],
+    "orbifold-chi/long-answer": ["orbifold-chi", f"genus:0 cone:({BIG_Q1},{BIG_Q2}) corner:()"],
     "orbit-numbers/ok": ["orbit-numbers", "--order", "12", HYPERBOLIC],
     "orbit-numbers/corners": ["orbit-numbers", "--order", "12", "genus:0 cone:(3) corner:(2)"],
     "orbit-numbers/not-dividing": ["orbit-numbers", "--order", "9", "genus:0 cone:(2) corner:()"],
@@ -143,6 +147,7 @@ CASES = {
     ],
     "rewrite/wrong-sum": ["rewrite", "(0,o1|(3,2),(3,2),(1,2))", "--h", "1,0"],
     "rewrite/malformed": ["rewrite", "(0,o1|(3,2))", "--h=1,a"],
+    "rewrite/negative-h": ["rewrite", "(0,o1|(3,2),(3,2),(1,-1))", "--h=-1,0"],
     "verify-action/z3": ["verify-action", "{dir}/z3.action"],
     "verify-action/q8": ["verify-action", "{dir}/q8.action"],
     "verify-action/law": ["verify-action", "{dir}/law.action"],
@@ -229,6 +234,7 @@ GOLDEN = {
     'equiv/negative': (3, 'not equivalent\n', ''),
     'equiv/positive': (0, 'equivalent\n', ''),
     'euler/invalid': (2, '', 'error: pair 1: q must be >= 1, got 0\n'),
+    'euler/long-answer': (2, '', 'error: the answer has an integer of more than 4300 digits\n'),
     'euler/ok': (0, '-10/3\n', ''),
     'euler/zero': (0, '0\n', ''),
     'filling-action/element-range': (2, '', 'error: element -1 out of range 0..2\n'),
@@ -248,6 +254,7 @@ GOLDEN = {
     'orbifold-chi/corners': (2, '', None),
     'orbifold-chi/euclidean': (0, '0\neuclidean\n', ''),
     'orbifold-chi/hyperbolic': (0, '-1\nhyperbolic\n', ''),
+    'orbifold-chi/long-answer': (2, '', 'error: the answer has an integer of more than 4300 digits\n'),
     'orbifold-chi/malformed': (2, '', "error: not an orbifold data set: 'genus:x cone:() corner:()'\n"),
     'orbifold-chi/order-one': (2, '', 'error: orbifold orders must be >= 2, got 1\n'),
     'orbifold-chi/plain': (0, '-1\n', ''),
@@ -263,6 +270,7 @@ GOLDEN = {
     'orbits/missing-file': (2, '', "error: [Errno 2] No such file or directory: '{dir}/no_such_file.action'\n"),
     'rewrite/empty-partition': (2, '', "error: bad partition list: ''\n"),
     'rewrite/malformed': (2, '', "error: bad h list: '1,a'\n"),
+    'rewrite/negative-h': (0, '(0, o1 | (3,-1), (3,2))\n', ''),
     'rewrite/not-constant': (2, '', 'error: h is not constant on the supplied orbit classes\n'),
     'rewrite/ok': (0, '(0, o1 | (3,5), (3,5))\n', ''),
     'rewrite/partition': (0, '(0, o1 | (3,5), (3,2), (1,1))\n', ''),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from random import Random
 
 import pytest
@@ -67,6 +68,18 @@ def test_decompose_soundness_random():
         if w is not None:
             assert w.total() == b
             assert w.orbit_numbers == tuple(orbits)
+
+
+def test_decompose_is_linear_in_the_orbit_count():
+    # one --orbits argument can hold about 65,000 entries; recomputing each
+    # tail gcd takes seconds on 50,000
+    orbits = [6 + i % 5 for i in range(50_000)]
+    start = time.perf_counter()
+    w = decompose(1, orbits)
+    elapsed = time.perf_counter() - start
+    assert w.orbit_numbers == tuple(orbits)
+    assert w.total() == 1
+    assert elapsed < 1.0
 
 
 def _brute_force_sums(orbits, bound=25):
