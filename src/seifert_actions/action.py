@@ -11,16 +11,16 @@ Composition convention: beta(g1*g2) = beta(g1) o beta(g2), i.e. the group
 acts on boundary indices from the left.
 
 `torus` and `obstruction` are read as attributes of the package by the
-functions that use them, so checking an action loads neither.
+functions that use them, so checking an action loads neither.  An action
+file's group file is its directory joined with the `group:` value.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 import seifert_actions as lib
 
@@ -31,6 +31,7 @@ from .rational import (
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
 from . import seifert
 
+TYPE_CHECKING = False  # type checkers read this name as True
 if TYPE_CHECKING:
     from .obstruction import ObstructionWitness
     from .torus import TorusAutomorphism
@@ -410,7 +411,7 @@ def _parse_element(
 
 
 def parse_action_text(
-    text: str, base_dir: str | Path = ".", source: str = "<string>"
+    text: str, base_dir: str | os.PathLike = ".", source: str = "<string>"
 ) -> ExtendedActionData:
     """Parse an action file.
 
@@ -436,7 +437,7 @@ def parse_action_text(
             if "\0" in value:
                 raise ActionFormatError(f"{where}: group file name {value!r} holds a NUL byte")
             try:
-                group = parse_group_file(Path(base_dir) / value)
+                group = parse_group_file(os.path.join(base_dir, value))
             except (GroupTableError, OSError) as exc:
                 raise ActionFormatError(f"{where}: {exc}") from None
         elif key == "pairs":
@@ -469,11 +470,9 @@ def parse_action_text(
     return ExtendedActionData(group, pairs, alpha, theta1, beta, theta2)
 
 
-def parse_action_file(path: str | Path) -> ExtendedActionData:
-    path = Path(path)
-    return parse_action_text(
-        read_utf8(path, ActionFormatError), base_dir=path.parent, source=str(path)
-    )
+def parse_action_file(path: str | os.PathLike) -> ExtendedActionData:
+    text = read_utf8(path, ActionFormatError)
+    return parse_action_text(text, os.path.dirname(path), os.fspath(path))
 
 
 def format_action(data: ExtendedActionData, group_path: str) -> str:

@@ -6,14 +6,15 @@ multiplication table exists only for a group file.  Such a table is checked
 for range, the Latin property and the identity at 0, and for associativity
 by Light's test on a generating set (`validate_group`), in O(N^2 log N)
 steps instead of O(N^3).  Orders stay small, so subgroup questions are
-answered by direct scans.
+answered by direct scans.  `read_utf8` reads group and action files alike;
+a path is a `str` or `os.PathLike`, and messages show it as given.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable
 from functools import cached_property
-from pathlib import Path
-from typing import Callable
 
 from .rational import InputError, Value, parse_int, parse_int_list
 
@@ -281,18 +282,18 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
     return validate_group(rows)
 
 
-def read_utf8(path: Path, error: type[InputError]) -> str:
+def read_utf8(path: str | os.PathLike, error: type[InputError]) -> str:
     """The text of a group or action file; a file that is not UTF-8 raises
-    `error` naming the path."""
+    `error` naming the path as given."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise error(f"{os.fspath(path)}: {exc}") from None
 
 
-def parse_group_file(path: str | Path) -> FiniteGroup:
-    path = Path(path)
-    return parse_group_text(read_utf8(path, GroupTableError), source=str(path))
+def parse_group_file(path: str | os.PathLike) -> FiniteGroup:
+    return parse_group_text(read_utf8(path, GroupTableError), source=os.fspath(path))
 
 
 def format_group(group: FiniteGroup) -> str:

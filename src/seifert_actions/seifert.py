@@ -148,9 +148,12 @@ def require_valid(pres: SeifertPresentation) -> None:
         raise PresentationError("; ".join(problems))
 
 
-def normalize(pres: SeifertPresentation) -> NormalizedPresentation:
+def normalize(pres: SeifertPresentation | NormalizedPresentation) -> NormalizedPresentation:
     """Canonical form: each q >= 2 pair reduced to 0 < p < q, carries and
-    q = 1 pairs folded into b, pairs sorted."""
+    q = 1 pairs folded into b, pairs sorted.  A normal form is read through
+    `to_presentation`, so its b is kept and it is validated like any input."""
+    if isinstance(pres, NormalizedPresentation):
+        pres = pres.to_presentation()
     require_valid(pres)
     b = 0
     reduced = []

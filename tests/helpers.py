@@ -27,13 +27,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
-def run_python(code, *argv):
-    """stdout of `python -c code argv...` in a fresh interpreter that
-    imports the package from the source tree and writes no bytecode."""
+def run_python(code, *argv, flags=()):
+    """stdout of `python flags... -c code argv...` in a fresh interpreter
+    that imports the package from the source tree and writes no bytecode."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, check=True).stdout
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, check=True).stdout
 
 
 def random_presentation(rng, max_q=50, max_p=200, max_pairs=6):

@@ -36,6 +36,7 @@ from seifert_actions.action import (
     format_action,
     induced_filling_action,
     kernel_on_boundary,
+    parse_action_file,
     parse_action_text,
     solid_torus_eval,
     verify_action,
@@ -45,6 +46,7 @@ from seifert_actions.groups import (
     dihedral_group,
     direct_product,
     format_group,
+    parse_group_file,
 )
 from seifert_actions.rational import ZERO_ANGLE, RationalAngle, angle
 from seifert_actions.seifert import SeifertPair, normalize, pair_problems, parse_presentation
@@ -392,6 +394,15 @@ def test_action_file_round_trip(tmp_path):
         text = format_action(data, f"{name}_group.txt")
         parsed = parse_action_text(text, base_dir=tmp_path)
         assert parsed == data
+
+
+def test_files_read_the_same_from_a_str_and_a_path(tmp_path):
+    data = rotation_z3()
+    (tmp_path / "g.txt").write_text(format_group(data.group), encoding="utf-8")
+    (tmp_path / "a.action").write_text(format_action(data, "g.txt"), encoding="utf-8")
+    assert parse_group_file(tmp_path / "g.txt") == parse_group_file(str(tmp_path / "g.txt"))
+    assert parse_action_file(tmp_path / "a.action") == data
+    assert parse_action_file(str(tmp_path / "a.action")) == data
 
 
 # Large pairwise-coprime denominators put the action's common denominator

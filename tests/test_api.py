@@ -99,6 +99,21 @@ def test_no_function_imports_a_library_module():
                 )
 
 
+def test_no_library_module_imports_pathlib_or_typing():
+    # files are named by str or os.PathLike paths; `os` and `open` do the work
+    for path in sorted(Path(seifert_actions.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not {name.partition(".")[0] for name in names} & {"pathlib", "typing"}, (
+                f"{path.name}:{node.lineno} imports pathlib or typing"
+            )
+
+
 def test_every_library_error_is_an_input_error():
     errors = [
         value

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 from random import Random
@@ -344,6 +345,23 @@ def test_unreadable_files_are_named(capsys, tmp_path):
     assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_error_locations_show_the_path_as_given(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(format_group(rotation_z3().group), encoding="utf-8")
+    text = format_action(rotation_z3(), "g.txt")
+    (tmp_path / "bad.action").write_text(text.replace("theta1=1/3", "theta1=1/0"), encoding="utf-8")
+    assert run(capsys, "verify-action", "./bad.action") == (
+        2, "", "error: ./bad.action:4: bad angle '1/0'\n"
+    )
+    # a missing group file is the action file's directory joined with the `group:` value
+    (tmp_path / "lost.action").write_text(text.replace("g.txt", "./lost/g.txt"), encoding="utf-8")
+    missing = os.path.join(str(tmp_path), "./lost/g.txt")
+    assert run(capsys, "verify-action", str(tmp_path / "lost.action")) == (
+        2, "", f"error: {tmp_path / 'lost.action'}:1: [Errno 2] No such file or directory: "
+        f"{missing!r}\n"
+    )
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "orbits", "no_such_file.txt")
     assert code == 2 and "error:" in err
@@ -366,15 +384,14 @@ def test_deterministic_output(capsys, tmp_path):
     assert len(outputs) == 1
 
 
-# Runs cli.main(argv) in a fresh interpreter, then prints the exit status and
-# the package modules loaded.
-# The costly stdlib modules that no verb may load.  The script below prints
-# the exit code, the package modules loaded, and whichever watched module
-# the call loaded itself (site start-up may have loaded one before it).
-STDLIB_WATCHED = {"dataclasses", "inspect"}
+# The costly stdlib modules that no verb may load.  The script below runs
+# cli.main(argv) in a fresh interpreter and prints the exit code, the package
+# modules loaded, and whichever watched module is loaded.  It runs under
+# `python -S`: `site` start-up may load a watched module itself (a `.pth`
+# hook can load `pathlib` and `typing`), which would hide the verb's own.
+STDLIB_WATCHED = {"dataclasses", "inspect", "pathlib", "typing"}
 LOADED_MODULES = f"""
 import sys
-watched = set({sorted(STDLIB_WATCHED)!r}) - set(sys.modules)
 import contextlib, io
 from seifert_actions import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -383,15 +400,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         code = exc.code
 print(code, *sorted(
-    m for m in sys.modules if m.partition(".")[0] == "seifert_actions" or m in watched
+    m for m in sys.modules
+    if m.partition(".")[0] == "seifert_actions" or m in {sorted(STDLIB_WATCHED)!r}
 ))
 """
 BASE = {"seifert_actions", "seifert_actions.cli"}
-ACTION_MODULES = {f"seifert_actions.{m}" for m in ("action", "groups", "torus", "structure")}
 
 
 def loaded_modules(*argv):
-    code, *modules = run_python(LOADED_MODULES, *argv).split()
+    code, *modules = run_python(LOADED_MODULES, *argv, flags=["-S"]).split()
     return int(code), set(modules)
 
 
@@ -405,13 +422,13 @@ def test_verb_loads_only_the_modules_it_needs(argv, expected):
     assert loaded_modules(*argv) == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ["decompose", "--b", "5", "--orbits", "2,3"],
-    ["orbifold-chi", "genus:0 cone:(2,3,5) corner:()"],
+@pytest.mark.parametrize("argv, modules", [
+    (["decompose", "--b", "5", "--orbits", "2,3"], ("obstruction", "orbifold", "rational", "seifert")),
+    (["orbifold-chi", "genus:0 cone:(2,3,5) corner:()"], ("orbifold", "rational")),
 ], ids=["decompose", "orbifold-chi"])
-def test_non_action_verbs_load_no_action_module(argv):
+def test_non_action_verbs_load_no_action_module(argv, modules):
     code, loaded = loaded_modules(*argv)
-    assert code == 0 and not loaded & (ACTION_MODULES | STDLIB_WATCHED)
+    assert (code, loaded) == (0, BASE | {f"seifert_actions.{m}" for m in modules})
 
 
 # Checking an action needs no obstruction, orbifold or torus module; only

@@ -12,6 +12,7 @@ from helpers import random_legal_move as _random_legal_move
 from helpers import random_presentation as _random_presentation
 from seifert_actions.seifert import (
     MoveError,
+    NormalizedPresentation,
     PresentationError,
     SeifertPair,
     SeifertPresentation,
@@ -125,6 +126,21 @@ def test_normalize_idempotent_random_suite():
         p = _random_presentation(rng)
         n = normalize(p)
         assert normalize(n.to_presentation()) == n
+
+
+def test_normalize_keeps_the_b_of_a_normal_form():
+    n = normalize(pres("(0,o1|(2,1),(1,3))"))
+    assert str(normalize(n)) == "(0, o1 | (2,1), (1,3))"
+    assert equivalent(n, n.to_presentation())
+    with pytest.raises(PresentationError, match="gcd=2"):
+        normalize(NormalizedPresentation(0, (SeifertPair(4, 2),), 1))
+    rng = Random(19)
+    for _ in range(300):
+        p = _random_presentation(rng)
+        n = normalize(p)
+        assert normalize(n) == n
+        assert equivalent(n, p)
+        assert euler_number(n) == euler_number(p)
 
 
 def test_moves_preserve_equivalence_and_euler_random_suite():
