@@ -328,12 +328,12 @@ def action_obstruction_check(
 ) -> ObstructionWitness | None:
     """Decide the obstruction condition for this action on this manifold.
 
-    The critical fillings of the action must match the critical pairs of
-    the presentation.  Orbit numbers come from the permutation part of the
-    action; orbit numbers of interior regular fibers, which the boundary
-    data cannot see, may be supplied by the caller.
+    The critical fillings of the action, as (q, p mod q), must match the
+    critical pairs of the presentation.  Orbit numbers come from the
+    permutation part of the action; orbit numbers of interior regular
+    fibers, which the boundary data cannot see, may be supplied by the caller.
     """
-    critical = sorted(pair for pair in data.pairs if pair.q >= 2)
+    critical = sorted(SeifertPair(pair.q, pair.p % pair.q) for pair in data.pairs if pair.q >= 2)
     if critical != sorted(pres.pairs):
         raise ActionDataError(
             "critical fillings of the action do not match the presentation: "

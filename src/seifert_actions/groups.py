@@ -98,8 +98,8 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
     (a*s)*c = a*(s*c) for all a, c and each s in a generating set.  The s
     that pass are closed under products, and every element is a product of
     generators (`generated_subgroup`), so they are the whole table.  A
-    failing table gets the full O(N^3) scan, which names the first failing
-    triple.  The group returned reads its products from the rows.
+    failing table raises at its first failing s (in `generators` order), a
+    and c.  The group returned reads its products from the rows.
     """
     n = len(table)
     if n == 0:
@@ -122,27 +122,15 @@ def validate_group(table: list[list[int]]) -> FiniteGroup:
     group = FiniteGroup(n, lambda a, b: rows[a][b])
     for s in group.generators:
         row_s = rows[s]
-        for row_a in rows:
-            if rows[row_a[s]] != tuple(map(row_a.__getitem__, row_s)):
-                _raise_first_associativity_failure(rows)
+        for a, row_a in enumerate(rows):
+            row_as, a_row_s = rows[row_a[s]], tuple(map(row_a.__getitem__, row_s))
+            if row_as != a_row_s:
+                c = next(c for c in range(n) if row_as[c] != a_row_s[c])
+                raise GroupTableError(
+                    f"associativity fails at ({a},{s},{c}): "
+                    f"({a}*{s})*{c}={row_as[c]} but {a}*({s}*{c})={a_row_s[c]}"
+                )
     return group
-
-
-def _raise_first_associativity_failure(rows) -> None:
-    """Scan every triple and raise on the lexicographically first one
-    with (a*b)*c != a*(b*c)."""
-    n = len(rows)
-    for a in range(n):
-        row_a = rows[a]
-        for b in range(n):
-            row_ab = rows[row_a[b]]
-            row_b = rows[b]
-            for c in range(n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    raise GroupTableError(
-                        f"associativity fails at ({a},{b},{c}): "
-                        f"({a}*{b})*{c}={row_ab[c]} but {a}*({b}*{c})={row_a[row_b[c]]}"
-                    )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -283,10 +271,10 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
 
 
 def read_utf8(path: str | os.PathLike, error: type[InputError]) -> str:
-    """The text of a group or action file; a file that is not UTF-8 raises
-    `error` naming the path as given."""
+    """The text of a group or action file, without a leading byte-order
+    mark; a file that is not UTF-8 raises `error` naming the path as given."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise error(f"{os.fspath(path)}: {exc}") from None

@@ -138,15 +138,17 @@ class RationalAngle(Value):
 
     Models a point exp(2*pi*i*t) of the unit circle additively, so that
     circle multiplication is angle addition.  The value must be an int or
-    a Fraction; any other type raises TypeError.
+    a Fraction, kept as a Fraction; any other type raises TypeError.
     """
 
     __slots__ = __match_args__ = ("value",)
     value: Fraction
 
     def __init__(self, value: Fraction) -> None:
-        if not isinstance(value, (Fraction, int)):
-            raise TypeError(f"angle value must be an int or Fraction, got {value!r}")
+        if not isinstance(value, Fraction):
+            if not isinstance(value, int):
+                raise TypeError(f"angle value must be an int or Fraction, got {value!r}")
+            value = Fraction(value)
         object.__setattr__(self, "value", value % 1)
 
     def __add__(self, other: RationalAngle) -> RationalAngle:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .action import ActionDataError, ExtendedActionData
-from .groups import is_subgroup
 from .rational import Value
 
 __all__ = [
@@ -57,11 +56,21 @@ class StructureReport(Value):
 
 
 def fop_subgroup(data: ExtendedActionData) -> list[int]:
-    """Elements preserving the orientation of the fibers (alpha = +1)."""
-    members = [g for g in data.group.elements() if data.alpha[g] == 1]
-    if not is_subgroup(data.group, members):
-        raise ActionDataError("alpha is not a homomorphism: its kernel is not a subgroup")
-    return members
+    """Elements preserving the orientation of the fibers (alpha = +1).
+
+    alpha(g*s) = alpha(g)*alpha(s) is checked for every g and each s in
+    the group's generating set, or at (e, e) when it is empty, as in
+    `verify_action`.  The s at which it holds for every g are closed under
+    products, so it holds exactly when alpha is a homomorphism, that is,
+    when its kernel is a subgroup of index 1 or 2.
+    """
+    group, alpha = data.group, data.alpha
+    gens = group.generators or (group.identity,)
+    if any(alpha[group.mul(g, s)] != alpha[g] * alpha[s] for g in group.elements() for s in gens):
+        raise ActionDataError(
+            "alpha is not a homomorphism: its kernel is not a subgroup of index 1 or 2"
+        )
+    return [g for g in group.elements() if alpha[g] == 1]
 
 
 def rotation_order(data: ExtendedActionData) -> int:

@@ -48,6 +48,7 @@ from seifert_actions.groups import (
     format_group,
     parse_group_file,
 )
+from seifert_actions.obstruction import format_witness
 from seifert_actions.rational import ZERO_ANGLE, RationalAngle, angle
 from seifert_actions.seifert import SeifertPair, normalize, pair_problems, parse_presentation
 from seifert_actions.torus import IDENTITY, TorusAutomorphism, gluing_automorphism
@@ -313,6 +314,17 @@ def test_action_obstruction_check_requires_matching_pairs():
         action_obstruction_check(data, pres)
 
 
+def test_action_obstruction_check_reads_fillings_in_normal_form():
+    # (2,3) and its normal form (2,1) fill the same manifold
+    z3 = rotation_z3()
+    pres = normalize(parse_presentation("(0,o1|(2,3),(2,3),(2,3))"))
+    for pair in (SeifertPair(2, 1), SeifertPair(2, 3)):
+        data = ExtendedActionData(z3.group, (pair,) * 3, z3.alpha, z3.theta1, z3.beta, z3.theta2)
+        assert verify_action(data) == []
+        witness = action_obstruction_check(data, pres)
+        assert format_witness(pres.b, witness) == "3 = 1*3"
+
+
 def test_kernel_on_boundary():
     z3 = cyclic_group(3)
     assert kernel_on_boundary(trivial_action(z3)) == [0, 1, 2]
@@ -403,6 +415,14 @@ def test_files_read_the_same_from_a_str_and_a_path(tmp_path):
     assert parse_group_file(tmp_path / "g.txt") == parse_group_file(str(tmp_path / "g.txt"))
     assert parse_action_file(tmp_path / "a.action") == data
     assert parse_action_file(str(tmp_path / "a.action")) == data
+
+
+def test_files_with_a_byte_order_mark_read_as_plain_ones(tmp_path):
+    data = rotation_z3()
+    (tmp_path / "g.txt").write_text("\ufeff" + format_group(data.group), encoding="utf-8")
+    (tmp_path / "a.action").write_text("\ufeff" + format_action(data, "g.txt"), encoding="utf-8")
+    assert parse_group_file(tmp_path / "g.txt") == data.group
+    assert parse_action_file(tmp_path / "a.action") == data
 
 
 # Large pairwise-coprime denominators put the action's common denominator

@@ -6,6 +6,7 @@ import importlib
 import pkgutil
 import re
 import runpy
+import shlex
 from functools import reduce
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import seifert_actions
 from helpers import run_python
-from seifert_actions import seifert
+from seifert_actions import cli, seifert
 from seifert_actions.rational import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +138,17 @@ def test_every_benchmark_span_target_exists():
                 reduce(getattr, attr.split("."), modules[module])
             except AttributeError:
                 raise AssertionError(f"span {span}: {module}.{attr} does not exist") from None
+
+
+def test_readme_command_list_names_every_verb():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```$", readme, re.M | re.S)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()]
+    verbs = {verb: arguments for verb, _, _, arguments in cli.VERBS}
+    assert sorted(argv[0] for argv in examples) == sorted(verbs)
+    for argv in examples:
+        if "action_file" not in verbs[argv[0]]:
+            assert cli.main(argv) == 0, argv
 
 
 def test_readme_python_examples_run():

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 from itertools import combinations
 from random import Random
@@ -47,15 +48,18 @@ def test_validate_group_rejects_non_latin():
         validate_group([[0, 1], [1, 1]])
 
 
+# Latin square with identity 0 but (1*1)*2 != 1*(1*2)
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_validate_group_rejects_non_associative():
-    # Latin square with identity 0 but (1*1)*2 != 1*(1*2)
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
+    table = LOOP5
     message = "associativity fails at (1,1,2): (1*1)*2=2 but 1*(1*2)=4"
     with pytest.raises(GroupTableError, match=re.escape(message)):
         validate_group(table)
@@ -106,22 +110,40 @@ def reduced_latin_squares(draw):
 
 @PROPERTY
 @given(reduced_latin_squares())
+# generators (1, 3): Light's test fails first at s = 1, so the table is
+# rejected at (2,1,1), not at the lexicographically first triple (1,2,1)
+@example([[0, 1, 2, 3, 4, 5], [1, 2, 4, 0, 5, 3], [2, 4, 5, 1, 3, 0],
+          [3, 5, 1, 4, 0, 2], [4, 0, 3, 5, 2, 1], [5, 3, 0, 2, 1, 4]])
 def test_light_test_agrees_with_triple_scan(table):
     n = len(table)
-    failures = [
+    failures = {
         (a, b, c) for a in range(n) for b in range(n) for c in range(n)
         if table[table[a][b]][c] != table[a][table[b][c]]
-    ]
+    }
     if not failures:
         assert validate_group(table).identity == 0
         return
-    a, b, c = failures[0]
+    # the first failing (s, a, c), generators s in order
+    gens = FiniteGroup(n, lambda a, b: table[a][b]).generators
+    a, b, c = next(
+        (a, s, c) for s in gens for a in range(n) for c in range(n) if (a, s, c) in failures
+    )
     with pytest.raises(GroupTableError) as raised:
         validate_group(table)
     assert str(raised.value) == (
         f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c}={table[table[a][b]][c]} "
         f"but {a}*({b}*{c})={table[a][table[b][c]]}"
     )
+
+
+def test_non_associative_table_is_rejected_without_a_triple_scan():
+    # LOOP5 times Z160, N = 800: a scan of all N^3 triples took 5.8 s (2-vCPU VM)
+    loop = direct_product(FiniteGroup(5, lambda a, b: LOOP5[a][b]), cyclic_group(160))
+    table = rows(loop)
+    start = time.perf_counter()
+    with pytest.raises(GroupTableError, match=re.escape("associativity fails at (160,160,320): ")):
+        validate_group(table)
+    assert time.perf_counter() - start < 2
 
 
 def test_generators_generate_within_log2_bound():

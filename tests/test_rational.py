@@ -91,6 +91,13 @@ def test_angle_accepts_only_int_or_fraction(value):
     assert str(RationalAngle(-3)) == "0"
 
 
+def test_angle_value_is_a_fraction():
+    for value in (3, -3, True, Fraction(7, 2)):
+        assert type(RationalAngle(value).value) is Fraction
+    assert repr(RationalAngle(3)) == "RationalAngle(value=Fraction(0, 1))"
+    assert RationalAngle(True).value == 0 and RationalAngle(Fraction(7, 2)).value == Fraction(1, 2)
+
+
 def test_parse_and_format_fraction():
     assert parse_fraction("2/3") == Fraction(2, 3)
     assert parse_fraction("-1/3") == Fraction(-1, 3)

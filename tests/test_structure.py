@@ -29,13 +29,19 @@ from seifert_actions.structure import (
 
 
 def test_fop_subgroup_rejects_non_homomorphic_alpha():
-    # alpha = (+1, -1, +1) on Z3: {0, 2} is not closed, as 2 + 2 = 1
-    data = make_action(
-        cyclic_group(3), (SeifertPair(2, 1),), (1, -1, 1),
-        (ZERO_ANGLE,) * 3, ((0,),) * 3, ((ZERO_ANGLE,),) * 3,
-    )
-    with pytest.raises(ActionDataError, match="not a subgroup"):
-        fop_subgroup(data)
+    for order, alpha in [
+        (3, (1, -1, 1)),  # {0, 2} is not closed, as 2 + 2 = 1
+        (3, (1, -1, -1)),  # {0} is a subgroup, but of index 3
+        (1, (-1,)),  # the kernel is empty
+    ]:
+        data = make_action(
+            cyclic_group(order), (SeifertPair(2, 1),), alpha,
+            (ZERO_ANGLE,) * order, ((0,),) * order, ((ZERO_ANGLE,),) * order,
+        )
+        with pytest.raises(ActionDataError, match="not a subgroup"):
+            fop_subgroup(data)
+        with pytest.raises(ActionDataError, match="not a subgroup of index 1 or 2"):
+            structure_report(data)
 
 
 def test_fop_subgroup_examples():
