@@ -363,10 +363,8 @@ def _parse_angle(text: str, where: str, angles: dict[str, RationalAngle]) -> Rat
     token is not stored and raises where it is read."""
     angle = angles.get(text)
     if angle is None:
-        try:
-            angle = angles[text] = RationalAngle(parse_fraction(text))
-        except InputError:
-            raise ActionFormatError(f"{where}: bad angle {text!r}") from None
+        message = f"{where}: bad angle {text!r}"
+        angle = angles[text] = RationalAngle(parse_fraction(text, ActionFormatError, message))
     return angle
 
 

@@ -39,9 +39,9 @@ class GroupTableError(InputError):
 
 
 class FiniteGroup(Value):
-    """A group on 0..order-1 with product `mul(a, b)` and identity 0.
-    Equality compares the products through `mul` and stops at the first
-    difference; the hash is the order's."""
+    """A group on 0..order-1, order >= 1, with product `mul(a, b)` and
+    identity 0.  Equality compares the products through `mul` and stops
+    at the first difference; the hash is the order's."""
 
     __match_args__ = ("order", "mul")
     __slots__ = (*__match_args__, "__dict__")  # `__dict__` holds `generators`
@@ -50,6 +50,8 @@ class FiniteGroup(Value):
     identity = 0
 
     def __init__(self, order: int, mul: Callable[[int, int], int]) -> None:
+        if order < 1:
+            raise GroupTableError(f"group order must be at least 1, got {order}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "mul", mul)
 
@@ -167,26 +169,17 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """Quaternion group of order 8: indices 0..7 = 1, i, j, k, -1, -i, -j, -k."""
-
-    def axis_mul(a: int, b: int) -> tuple[int, int]:
-        # axes: 0 = 1, 1 = i, 2 = j, 3 = k
-        if a == 0:
-            return (1, b)
-        if b == 0:
-            return (1, a)
-        if a == b:
-            return (-1, 0)
-        # cyclic rule i*j = k and anticommutativity
-        sign = 1 if (a, b) in ((1, 2), (2, 3), (3, 1)) else -1
-        return (sign, 6 - a - b)
+    """Quaternion group of order 8: indices 0..7 = 1, i, j, k, -1, -i, -j, -k,
+    multiplied by the Hamilton product of their (1, i, j, k) coordinates."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    units += [tuple(-x for x in u) for u in units]
 
     def mul(x: int, y: int) -> int:
-        sx, ax = (-1 if x >= 4 else 1), x % 4
-        sy, ay = (-1 if y >= 4 else 1), y % 4
-        s, axis = axis_mul(ax, ay)
-        s *= sx * sy
-        return axis if s == 1 else axis + 4
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = units[x], units[y]
+        return units.index((a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2))
 
     return FiniteGroup(8, mul)
 
@@ -223,14 +216,16 @@ def generated_subgroup(group: FiniteGroup, generators: list[int]) -> frozenset[i
 def keyed_lines(text: str, source: str, error: type[InputError]):
     """The line format shared by group and action files.
 
-    Yields (where, key, value) for each line that is neither blank nor a
-    `#` comment, where `where` is `source:lineno`.  A `key: value` line
-    gives its stripped key and value; a line without ':' gives key None and
-    the whole stripped line.  A key already seen on an earlier line raises
+    One leading byte-order mark (U+FEFF) is dropped, so text reads the
+    same whether the caller decoded it or `read_utf8` did.  Yields (where,
+    key, value) for each line that is neither blank nor a `#` comment,
+    where `where` is `source:lineno`.  A `key: value` line gives its
+    stripped key and value; a line without ':' gives key None and the
+    whole stripped line.  A key already seen on an earlier line raises
     `error`.
     """
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,10 +266,10 @@ def parse_group_text(text: str, source: str = "<string>") -> FiniteGroup:
 
 
 def read_utf8(path: str | os.PathLike, error: type[InputError]) -> str:
-    """The text of a group or action file, without a leading byte-order
-    mark; a file that is not UTF-8 raises `error` naming the path as given."""
+    """The UTF-8 text of a group or action file, byte-order mark and all; a
+    file that is not UTF-8 raises `error` naming the path as given."""
     try:
-        with open(path, encoding="utf-8-sig") as file:
+        with open(path, encoding="utf-8") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise error(f"{os.fspath(path)}: {exc}") from None

@@ -78,15 +78,18 @@ def parse_int_list(
     return _ints(text.split(sep), error, message) if text.strip() else ()
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' (b > 0) into an exact Fraction."""
-    message = f"not a fraction: {text!r}"
+def parse_fraction(text: str, error: type[InputError] = InputError, message: str = "") -> Fraction:
+    """Read 'a' or 'a/b' (b > 0) into an exact Fraction; surrounding
+    whitespace is allowed.  A text outside that grammar or with a zero
+    denominator raises `error(message)`; the default messages name the
+    text."""
+    malformed = message or f"not a fraction: {text!r}"
     m = _FRACTION_RE.fullmatch(text.strip())
     if m is None:
-        raise InputError(message)
-    num, den = _ints((m.group(1), m.group(2) or "1"), InputError, message)
+        raise error(malformed)
+    num, den = _ints((m.group(1), m.group(2) or "1"), error, malformed)
     if den == 0:
-        raise InputError(f"zero denominator in {text!r}")
+        raise error(message or f"zero denominator in {text!r}")
     return Fraction(num, den)
 
 

@@ -285,6 +285,8 @@ def test_parse_group_text_round_trip_property(group):
     parsed = parse_group_text(format_group(group))
     assert parsed == group
     assert hash(parsed) == hash(group)
+    # one leading byte-order mark is dropped, as when a file is read
+    assert parse_group_text("\ufeff" + format_group(group)) == group
 
 
 @st.composite
@@ -342,6 +344,12 @@ def test_builders_and_parser_reject_empty_groups():
         cyclic_group(0)
     with pytest.raises(GroupTableError, match="^dihedral parameter must be positive, got 0$"):
         dihedral_group(0)
+    for order in [0, -1]:
+        message = f"^group order must be at least 1, got {order}$"
+        with pytest.raises(GroupTableError, match=message):
+            FiniteGroup(order, lambda a, b: 0)
+    with pytest.raises(GroupTableError, match="^empty table$"):
+        parse_group_text("order: 0\n", source="g.txt")
     for text in ["", "\n  \n", "# a comment\n\n# another\n"]:
         with pytest.raises(GroupTableError, match="^g.txt: missing 'order:' header$"):
             parse_group_text(text, source="g.txt")
@@ -353,6 +361,8 @@ def test_builders_and_parser_reject_empty_groups():
 def test_parse_group_text_errors():
     with pytest.raises(GroupTableError, match="order"):
         parse_group_text("2\n0 1\n1 0\n")
+    with pytest.raises(GroupTableError, match="^<string>:1: expected 'order: N'$"):
+        parse_group_text("\ufeff\ufefforder: 1\n0\n")
     with pytest.raises(GroupTableError, match="2 table rows"):
         parse_group_text("order: 2\n0 1\n")
     with pytest.raises(GroupTableError, match=":3:"):
@@ -376,7 +386,7 @@ def test_parse_group_text_errors():
     with pytest.raises(GroupTableError, match=":3: expected a table row"):
         parse_group_text("order: 2\n0 1\n1: 0\n")
     for rows, where, bad in [("0 0_1\n1 0\n", 2, "0 0_1"), ("0 1\n1 +0\n", 3, "1 +0"),
-                             ("0 1\n1 ٠\n", 3, "1 ٠")]:
+                             ("0 1\n1 ٠\n", 3, "1 ٠"), ("0 1\n\ufeff1 0\n", 3, "\\ufeff1 0")]:
         with pytest.raises(GroupTableError, match=re.escape(f":{where}: bad table row '{bad}'")):
             parse_group_text("order: 2\n" + rows)
     for header in ["+2", "2_0", "٢"]:

@@ -117,9 +117,13 @@ def test_angle_order():
 
 
 def test_parse_fraction_rejects_tokens_outside_the_grammar():
-    for bad in ["١/٢", "+1/2", "1/-2", "1_0/3", "1/+2"]:
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+    for bad in ["١/٢", "+1/2", "1/-2", "1_0/3", "1/+2", "0.5", "", "1/0", " -3/0 "]:
+        default = "zero denominator in" if bad.strip().endswith("/0") else "not a fraction:"
+        with pytest.raises(InputError, match=f"^{default} {re.escape(repr(bad))}$"):
             parse_fraction(bad)
+        with pytest.raises(_ListError, match="^bad angle$"):
+            parse_fraction(bad, _ListError, "bad angle")
+    assert parse_fraction(" -4/6 ", _ListError, "bad angle") == Fraction(-2, 3)
 
 
 class _ListError(ValueError):
@@ -138,6 +142,8 @@ def test_tokens_longer_than_int_reads_raise_the_callers_error():
             parse_int_list(text, _ListError, "bad list", sep)
     with pytest.raises(InputError, match=f"^not a fraction: '1/1{{5000}}' {suffix}$"):
         parse_fraction(f"1/{long}")
+    with pytest.raises(_ListError, match=f"^bad angle {suffix}$"):
+        parse_fraction(f" -{long}/3 ", _ListError, "bad angle")
 
 
 NON_ASCII_DIGITS = st.characters(categories=["Nd"], exclude_characters="0123456789")
