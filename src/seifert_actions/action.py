@@ -17,7 +17,6 @@ file's group file is its directory joined with the `group:` value.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from fractions import Fraction
@@ -27,6 +26,7 @@ import seifert_actions as lib
 from .groups import FiniteGroup, GroupTableError, keyed_lines, parse_group_file, read_utf8
 from .rational import (
     InputError, RationalAngle, Value, ZERO_ANGLE, parse_fraction, parse_int, parse_int_list,
+    residues,
 )
 from .seifert import NormalizedPresentation, SeifertPair, parse_pair
 from . import seifert
@@ -135,16 +135,11 @@ def _beta_problem(images: tuple[int, ...], n: int, first: int = 0) -> str | None
 
 
 def _residues(data: ExtendedActionData) -> tuple:
-    """(L, theta1, theta2): L is the lcm of every theta1 and theta2
-    denominator, and each angle t in [0, 1) becomes the int t*L in [0, L)."""
-    angles = (*data.theta1, *(t for row in data.theta2 for t in row))
-    den = math.lcm(*(t.order for t in angles))
-
-    def residue(t: RationalAngle) -> int:
-        return t.value.numerator * (den // t.order)
-
-    theta2 = tuple(tuple(map(residue, row)) for row in data.theta2)
-    return den, tuple(map(residue, data.theta1)), theta2
+    """(L, theta1, theta2) with every angle t of the data as the int t*L in
+    [0, L), where L is the lcm of their denominators (`rational.residues`)."""
+    den, res = residues((*data.theta1, *(t for row in data.theta2 for t in row)))
+    size, n = len(data.theta1), data.n_boundary
+    return den, tuple(res[:size]), tuple(tuple(res[k:k + n]) for k in range(size, len(res), n))
 
 
 def _law_problems(data: ExtendedActionData, res: tuple, g1: int, g2: int) -> list[str]:
@@ -246,7 +241,9 @@ def induced_filling_action(
     """Action of g on the boundary of filled solid torus i, in the filling
     framing: phases (-q*theta1 + p*theta2, y*theta1 - x*theta2).
 
-    Equals the boundary action conjugated by the attaching map, exactly.
+    The closed-form side of criterion 05: it equals the boundary action
+    conjugated by the attaching map, exactly, and uses angle arithmetic on
+    purpose, so it shares none with `torus.conjugate_by_gluing`.
     """
     _require_element_and_index(data, g, i)
     pair = data.pairs[i]

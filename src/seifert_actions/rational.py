@@ -1,11 +1,13 @@
 """Exact rational arithmetic, angles in Q/Z, and the integer token grammar.
 
 Everything downstream (presentation sums, torus phases, obstruction
-witnesses) is exact; no floating point is used anywhere.
+witnesses) is exact; no floating point is used anywhere.  Sums of many
+angles go through `residues`: ints mod the angles' common denominator.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -22,6 +24,7 @@ __all__ = [
     "parse_fraction",
     "parse_int",
     "parse_int_list",
+    "residues",
 ]
 
 INT = "-?[0-9]+"
@@ -184,3 +187,12 @@ def angle(numerator: int, denominator: int = 1) -> RationalAngle:
 
 
 ZERO_ANGLE = angle(0)
+
+
+def residues(angles) -> tuple[int, list[int]]:
+    """(L, [t*L, ...]): L is the lcm of the angles' orders (1 when there are
+    none), and each angle t in [0, 1) becomes the int r = t*L in [0, L).  So
+    k1*t1 + k2*t2 + ... is the angle of Fraction(k1*r1 + k2*r2 + ..., L)."""
+    values = [t.value for t in angles]
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]

@@ -5,13 +5,14 @@ S^1 x S^1, recorded by the homology matrix [[a, b], [c, d]] (determinant
 +-1) and the phases of the constants c1, c2.  This level of detail is
 exactly what survives on homology plus the rotation data, and it is enough
 to decide finite order and to transport boundary actions across fillings.
+`compose` and `inverse` sum phases as ints mod their common denominator.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rational import InputError, RationalAngle, Value, ZERO_ANGLE
+from .rational import Fraction, InputError, RationalAngle, Value, ZERO_ANGLE, residues
 from .seifert import SeifertPair, gluing_pair
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "order",
     "power",
 ]
+
 
 class TorusAutomorphism(Value):
     """The matrix entries must be ints (any other type raises TypeError)
@@ -84,6 +86,15 @@ class TorusAutomorphism(Value):
 IDENTITY = TorusAutomorphism(1, 0, 0, 1)
 
 
+def _phases(m: tuple, x: RationalAngle, y: RationalAngle, shift=(ZERO_ANGLE, ZERO_ANGLE)) -> tuple:
+    """M*(x, y) + shift in (Q/Z)^2 for m = (m11, m12, m21, m22): each
+    coordinate is one integer sum of residues, built into an angle once."""
+    den, (rx, ry, s1, s2) = residues((x, y, *shift))
+    m11, m12, m21, m22 = m
+    return (RationalAngle(Fraction(m11 * rx + m12 * ry + s1, den)),
+            RationalAngle(Fraction(m21 * rx + m22 * ry + s2, den)))
+
+
 def compose(f: TorusAutomorphism, g: TorusAutomorphism) -> TorusAutomorphism:
     """f after g: matrix product, phases M_f * phase(g) + phase(f)."""
     return TorusAutomorphism(
@@ -91,22 +102,17 @@ def compose(f: TorusAutomorphism, g: TorusAutomorphism) -> TorusAutomorphism:
         f.m11 * g.m12 + f.m12 * g.m22,
         f.m21 * g.m11 + f.m22 * g.m21,
         f.m21 * g.m12 + f.m22 * g.m22,
-        g.phase1.scale(f.m11) + g.phase2.scale(f.m12) + f.phase1,
-        g.phase1.scale(f.m21) + g.phase2.scale(f.m22) + f.phase2,
+        *_phases(f.matrix(), g.phase1, g.phase2, (f.phase1, f.phase2)),
     )
 
 
 def inverse(f: TorusAutomorphism) -> TorusAutomorphism:
+    """Matrix M^-1, phases -M^-1 * phase(f)."""
     d = f.det
     i11, i12 = f.m22 * d, -f.m12 * d
     i21, i22 = -f.m21 * d, f.m11 * d
     return TorusAutomorphism(
-        i11,
-        i12,
-        i21,
-        i22,
-        -(f.phase1.scale(i11) + f.phase2.scale(i12)),
-        -(f.phase1.scale(i21) + f.phase2.scale(i22)),
+        i11, i12, i21, i22, *_phases((-i11, -i12, -i21, -i22), f.phase1, f.phase2)
     )
 
 

@@ -19,6 +19,7 @@ from seifert_actions.rational import (
     parse_fraction,
     parse_int,
     parse_int_list,
+    residues,
 )
 
 
@@ -96,6 +97,24 @@ def test_angle_value_is_a_fraction():
         assert type(RationalAngle(value).value) is Fraction
     assert repr(RationalAngle(3)) == "RationalAngle(value=Fraction(0, 1))"
     assert RationalAngle(True).value == 0 and RationalAngle(Fraction(7, 2)).value == Fraction(1, 2)
+
+
+def test_residues_of_no_angle_and_of_one():
+    assert residues([]) == (1, [])
+    assert residues([ZERO_ANGLE]) == (1, [0])
+    assert residues([angle(-1, 6)]) == (6, [5])
+    assert residues(iter([angle(1, 4), angle(5, 6), ZERO_ANGLE])) == (12, [3, 10, 0])
+
+
+@PROPERTY
+@given(st.lists(st.builds(angle, st.integers(-(2**40), 2**40), st.integers(1, 2**31 - 1)),
+                max_size=8))
+def test_residues_read_angles_as_ints_mod_their_common_denominator(angles):
+    den, res = residues(angles)
+    assert den == math.lcm(*(t.order for t in angles))
+    assert len(res) == len(angles)
+    for t, r in zip(angles, res):
+        assert 0 <= r < den and Fraction(r, den) == t.value
 
 
 def test_parse_and_format_fraction():

@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from seifert_actions.rational import ZERO_ANGLE, angle
+from helpers import PROPERTY
+
+from seifert_actions.rational import ZERO_ANGLE, RationalAngle, angle
 from seifert_actions.seifert import SeifertPair
 from seifert_actions.torus import (
     IDENTITY,
@@ -101,19 +106,21 @@ def test_order_examples():
     assert order(TorusAutomorphism(1, 0, 0, -1)) == 2
 
 
+FINITE_MATRICES = [
+    (1, 0, 0, 1),
+    (-1, 0, 0, -1),
+    (0, -1, 1, 0),
+    (0, 1, -1, 0),
+    (0, -1, 1, -1),
+    (0, -1, 1, 1),
+    (1, 0, 0, -1),
+    (0, 1, 1, 0),
+]
+
+
 def test_order_is_minimal():
     rng = Random(8)
-    finite_matrices = [
-        (1, 0, 0, 1),
-        (-1, 0, 0, -1),
-        (0, -1, 1, 0),
-        (0, 1, -1, 0),
-        (0, -1, 1, -1),
-        (0, -1, 1, 1),
-        (1, 0, 0, -1),
-        (0, 1, 1, 0),
-    ]
-    for m in finite_matrices:
+    for m in FINITE_MATRICES:
         for _ in range(10):
             f = TorusAutomorphism(
                 *m,
@@ -203,3 +210,68 @@ def test_gluing_automorphism_shape():
 def test_format():
     f = TorusAutomorphism(1, 0, 0, 1, angle(1, 3), angle(1, 2))
     assert format_automorphism(f) == "[[1,0],[0,1]] + (1/3, 1/2)"
+
+
+def _matrix_product(m, n):
+    a, b, c, d = m
+    w, x, y, z = n
+    return (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
+
+
+# a word in shears and the reflection (0, 1, 1, 0) is any matrix of
+# determinant +-1, mostly of infinite order; the finite ones are drawn apart
+_STEPS = st.one_of(
+    st.sampled_from([(0, 1, 1, 0), (0, -1, 1, 0)]),
+    st.integers(-6, 6).map(lambda k: (1, k, 0, 1)),
+    st.integers(-6, 6).map(lambda k: (1, 0, k, 1)),
+)
+_MATRICES = st.one_of(
+    st.sampled_from(FINITE_MATRICES),
+    st.lists(_STEPS, max_size=8).map(lambda steps: reduce(_matrix_product, steps, (1, 0, 0, 1))),
+)
+_ANGLES = st.builds(angle, st.integers(-(2**40), 2**40), st.integers(1, 2**31 - 1))
+_AUTOMORPHISMS = st.builds(
+    lambda m, phase1, phase2: TorusAutomorphism(*m, phase1, phase2), _MATRICES, _ANGLES, _ANGLES
+)
+
+
+@PROPERTY
+@given(_AUTOMORPHISMS, _AUTOMORPHISMS)
+def test_compose_and_inverse_match_the_angle_formula(f, g):
+    # the oracle is the angle arithmetic the phases were once computed by
+    fg = compose(f, g)
+    assert fg.matrix() == _matrix_product(f.matrix(), g.matrix())
+    assert (fg.phase1, fg.phase2) == (
+        g.phase1.scale(f.m11) + g.phase2.scale(f.m12) + f.phase1,
+        g.phase1.scale(f.m21) + g.phase2.scale(f.m22) + f.phase2,
+    )
+    inv = inverse(f)
+    assert _matrix_product(f.matrix(), inv.matrix()) == (1, 0, 0, 1)
+    assert (inv.phase1, inv.phase2) == (
+        -(f.phase1.scale(inv.m11) + f.phase2.scale(inv.m12)),
+        -(f.phase1.scale(inv.m21) + f.phase2.scale(inv.m22)),
+    )
+
+
+def test_torus_maps_do_no_angle_arithmetic(monkeypatch):
+    f = TorusAutomorphism(1, 0, 0, -1, angle(1, 6), angle(3, 8))
+    g = TorusAutomorphism(2, 1, 1, 1, angle(1, 3), angle(5, 17))
+    d = gluing_automorphism(SeifertPair(7, 3))
+    calls = [
+        lambda: compose(f, g),
+        lambda: inverse(g),
+        lambda: power(f, 5),
+        lambda: power(g, -2),
+        lambda: order(f),
+        lambda: order(g),
+        lambda: conjugate_by_gluing(f, d),
+    ]
+    expected = [call() for call in calls]
+
+    def refuse(*args):
+        raise AssertionError("angle arithmetic in a torus map")
+
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(RationalAngle, name, refuse)
+    assert [call() for call in calls] == expected
+    assert order(f) == 6 and order(g) is None
