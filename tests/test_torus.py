@@ -218,8 +218,9 @@ def _matrix_product(m, n):
     return (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
 
 
-# a word in shears and the reflection (0, 1, 1, 0) is any matrix of
-# determinant +-1, mostly of infinite order; the finite ones are drawn apart
+# words in shears, the rotation and the reflection (0, 1, 1, 0) reach every
+# matrix of determinant +-1 and are mostly of infinite order, so the finite
+# ones are drawn apart
 _STEPS = st.one_of(
     st.sampled_from([(0, 1, 1, 0), (0, -1, 1, 0)]),
     st.integers(-6, 6).map(lambda k: (1, k, 0, 1)),
