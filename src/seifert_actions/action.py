@@ -108,8 +108,10 @@ class ExtendedActionData(Value):
             if value not in (-1, 1):
                 raise ActionDataError(f"alpha[{g}]={value} must be +1 or -1")
         for g, perm in enumerate(beta):
-            if problem := _beta_problem(perm, n):
-                raise ActionDataError(f"{problem}, got beta[{g}]={perm}")
+            if sorted(perm) != list(range(n)):
+                raise ActionDataError(
+                    f"beta must be a permutation of 0..{n - 1}, got beta[{g}]={perm}"
+                )
         for g, row in enumerate(theta2):
             if len(row) != n:
                 raise ActionDataError(
@@ -125,13 +127,6 @@ class ExtendedActionData(Value):
     @property
     def n_boundary(self) -> int:
         return len(self.pairs)
-
-
-def _beta_problem(images: tuple[int, ...], n: int, first: int = 0) -> str | None:
-    """The permutation rule for beta, on the indices first..first+n-1."""
-    if sorted(images) != list(range(first, first + n)):
-        return f"beta must be a permutation of {first}..{first + n - 1}"
-    return None
 
 
 def _residues(data: ExtendedActionData) -> tuple:
@@ -390,8 +385,8 @@ def _parse_element(
     images = parse_int_list(
         perm_text[1:-1], ActionFormatError, f"{where}: bad beta {perm_text!r}"
     )
-    if problem := _beta_problem(images, n, first=1):
-        raise ActionFormatError(f"{where}: {problem}")
+    if sorted(images) != list(range(1, n + 1)):
+        raise ActionFormatError(f"{where}: beta must be a permutation of 1..{n}")
     angle_toks = fields["theta2"].split(",")
     if len(angle_toks) != n:
         raise ActionFormatError(

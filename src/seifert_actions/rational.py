@@ -167,7 +167,8 @@ class RationalAngle(Value):
         return RationalAngle(-self.value)
 
     def scale(self, k: int) -> RationalAngle:
-        # k = 1, as for the unit matrix entries in `torus.compose`, needs no arithmetic
+        # k = 1 needs no arithmetic: the sign +1 of `action.solid_torus_eval`, unit
+        # entries in `action.induced_filling_action`, and k = 1 in perfbench's filling task
         return self if k == 1 else RationalAngle(self.value * k)
 
     def is_zero(self) -> bool:

@@ -263,7 +263,7 @@ class GluingPair(Value):
 def gluing_pair(pair: SeifertPair) -> GluingPair:
     require_pair(pair)
     q, p = pair.q, pair.p
-    y = pow(p, -1, q) if q > 1 else 0
+    y = pow(p, -1, q)
     x = (y * p - 1) // q
     return GluingPair(x, y, pair)
 
@@ -273,39 +273,32 @@ def induced_fibration(gp: GluingPair) -> tuple[int, int]:
     return (-gp.attached_pair.q, gp.y)
 
 
-_PAIR_RE = re.compile(rf"\(({INT}),({INT})\)")
+# Whitespace may separate tokens but never splits one.  In the presentation no
+# two whitespace runs flank its optional pair list, so a failed match
+# backtracks in time linear in the text.
+_PAIR = rf"\(\s*({INT})\s*,\s*({INT})\s*\)"
+_PAIR_RE = re.compile(_PAIR)
+_PRESENTATION_RE = re.compile(
+    rf"\(\s*({INT})\s*,\s*o1\s*\|((?:\s*{_PAIR}(?:\s*,\s*{_PAIR})*)?)\s*\)"
+)
 
 
 def parse_pair(text: str) -> SeifertPair:
-    """Parse a single pair written (q,p); whitespace-insensitive."""
+    """Parse a single pair written (q,p)."""
     message = f"not a Seifert pair: {text!r}"
-    m = _PAIR_RE.fullmatch(re.sub(r"\s+", "", text))
+    m = _PAIR_RE.fullmatch(text.strip())
     if m is None:
         raise PresentationError(message)
     return SeifertPair(*(parse_int(t, PresentationError, message) for t in m.groups()))
 
 
 def parse_presentation(text: str) -> SeifertPresentation:
-    """Parse `(g, o1 | (q1,p1), (q2,p2), ...)`; whitespace-insensitive."""
+    """Parse `(g, o1 | (q1,p1), (q2,p2), ...)`."""
     message = f"not a presentation: {text!r}"
-    m = re.fullmatch(rf"\(({INT}),o1\|(.*)\)", re.sub(r"\s+", "", text))
+    m = _PRESENTATION_RE.fullmatch(text.strip())
     if m is None:
         raise PresentationError(message)
-    tokens = [m.group(1)]
-    body = m.group(2)
-    pos = 0
-    while pos < len(body):
-        if pos:
-            if body[pos] != ",":
-                raise PresentationError(
-                    f"expected ',' between pairs at position {pos} of {text!r}"
-                )
-            pos += 1
-        pm = _PAIR_RE.match(body, pos)
-        if pm is None:
-            raise PresentationError(f"bad pair at position {pos} of {text!r}")
-        tokens += pm.groups()
-        pos = pm.end()
+    tokens = (m[1], *(t for pair in _PAIR_RE.findall(m[2]) for t in pair))
     genus, *ints = (parse_int(t, PresentationError, message) for t in tokens)
     return SeifertPresentation(genus, tuple(map(SeifertPair, ints[::2], ints[1::2])))
 

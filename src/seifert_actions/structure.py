@@ -83,7 +83,7 @@ def rotation_order(data: ExtendedActionData) -> int:
     orders = [
         data.theta1[g].order for g in data.group.elements() if data.alpha[g] == 1
     ]
-    return math.lcm(*orders) if orders else 1
+    return math.lcm(*orders)
 
 
 def find_splitting(data: ExtendedActionData) -> int | None:

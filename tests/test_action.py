@@ -25,6 +25,7 @@ from helpers import (
     standard_fixtures,
     trivial_action,
 )
+from seifert_actions import cli
 from seifert_actions.action import (
     ActionDataError,
     ActionFormatError,
@@ -585,6 +586,18 @@ def test_action_parse_errors_cite_lines(tmp_path):
         message = ":1: .*bad_g.txt:3: " + re.escape(f"bad table row '{row}'")
         with pytest.raises(ActionFormatError, match=message):
             parse_action_text(bad, base_dir=tmp_path)
+
+
+def test_whitespace_never_splits_a_token_of_the_pairs_line(capsys, tmp_path):
+    data = rotation_z3()
+    (tmp_path / "g.txt").write_text(format_group(data.group), encoding="utf-8")
+    path = tmp_path / "a.txt"
+    text = format_action(data, "g.txt").replace(
+        "pairs: (2,1) (2,1) (2,1)", "pairs: (1 3,1) (1 3,1) (1 3,1)"
+    )
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["orbits", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:2: not a Seifert pair: '(1 3,1)'\n")
 
 
 def test_repeated_angle_tokens(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 from random import Random
@@ -484,6 +485,19 @@ def test_integers_too_long_to_read_name_their_input(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}{TOO_LONG}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["glue-pair", "(1 3,2)"], "not a Seifert pair: '(1 3,2)'"),
+    (["euler", "(1 2, o1 | (3, 2 1))"], "not a presentation: '(1 2, o1 | (3, 2 1))'"),
+    (["validate", "(0, o 1 | (3,2))"], "not a presentation: '(0, o 1 | (3,2))'"),
+    (["normalize", "(0, o1 | (3,- 2))"], "not a presentation: '(0, o1 | (3,- 2))'"),
+    (["equiv", "(0,o1|(3,2))", "(0,o1|(1 3,2))"], "not a presentation: '(0,o1|(1 3,2))'"),
+    (["rewrite", "(0,o1|(3,2),(3, 2 1))", "--h", "0"],
+     "not a presentation: '(0,o1|(3,2),(3, 2 1))'"),
+], ids=["glue-pair", "euler", "validate", "normalize", "equiv", "rewrite"])
+def test_whitespace_never_splits_a_token(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", f"(0,o1|(1,{'9' * 4300}),(1,{'9' * 4300}))"],
     ["rewrite", f"(0,o1|({BIG_Q1},1),({BIG_Q2},1))", f"--h={10**1400},{-10**1400}"],
@@ -568,5 +582,68 @@ def test_every_argv_exits_0_2_or_3(tmp_path):
                 code = exc.code
         assert code in (0, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+
+    check()
+
+
+# the characters and words of the action and group file formats
+FILE_TOKENS = [
+    *"0123456789-+/,:()=# \n", "\ufeff", "\0",
+    "group", "pairs", "order", "alpha", "theta1", "beta", "theta2",
+]
+EDIT = st.tuples(
+    st.sampled_from(["insert", "delete", "swap"]),
+    st.integers(0, 1 << 16),
+    st.sampled_from(FILE_TOKENS),
+)
+
+
+def mutate(text, edits):
+    """text with each edit applied in turn: insert a token, delete a character,
+    or swap a character with the next, at a position taken mod the length."""
+    for kind, at, token in edits:
+        at %= len(text) + 1
+        if kind == "insert":
+            text = text[:at] + token + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+    return text
+
+
+def test_every_mutated_file_exits_0_2_or_3(tmp_path):
+    action = write_action(tmp_path, dihedral_d3_action())
+    action_file, group_file = Path(action), tmp_path / "action_group.txt"
+    texts = {p: p.read_text(encoding="utf-8") for p in (action_file, group_file)}
+    query = st.tuples(
+        st.sampled_from(["boundary-action", "filling-action"]),
+        st.sampled_from(["0", "1", "5", "6", "-1"]),
+        st.sampled_from(["1", "3", "4", "0"]),
+    ).map(lambda q: [q[0], action, "--element", q[1], "--index", q[2]])
+    plain = st.sampled_from(["verify-action", "structure", "orbits"]).map(lambda v: [v, action])
+    out_of_range = r"error: (element|boundary index) -?\d+ out of range \d+\.\.\d+\n"
+    edits = st.lists(st.tuples(st.sampled_from(list(texts)), EDIT), max_size=4)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(st.one_of(plain, query), edits)
+    def check(argv, edits):
+        for path, text in texts.items():
+            mine = [edit for target, edit in edits if target == path]
+            path.write_text(mutate(text, mine), encoding="utf-8", newline="")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            message = err.getvalue()
+            assert (
+                message.startswith(f"error: {action}")
+                or str(group_file) in message
+                or re.fullmatch(out_of_range, message)
+            ), message
 
     check()

@@ -230,7 +230,7 @@ GOLDEN = {
     'decompose/ok': (0, '1 = -1*2 + 1*3\n', ''),
     'decompose/zero-orbit': (2, '', 'error: orbit numbers must be positive, got 0\n'),
     'equiv/genus': (3, 'not equivalent\n', ''),
-    'equiv/malformed': (2, '', "error: expected ',' between pairs at position 5 of '(0,o1|(3,2)(3,1))'\n"),
+    'equiv/malformed': (2, '', "error: not a presentation: '(0,o1|(3,2)(3,1))'\n"),
     'equiv/negative': (3, 'not equivalent\n', ''),
     'equiv/positive': (0, 'equivalent\n', ''),
     'euler/invalid': (2, '', 'error: pair 1: q must be >= 1, got 0\n'),
@@ -285,7 +285,7 @@ GOLDEN = {
     'usage/unknown-verb': (2, '', "usage: seifert-actions [-h] [--version]\n                       {validate,normalize,equiv,euler,glue-pair,orbifold-chi,orbit-numbers,check-obstruction,decompose,rewrite,verify-action,boundary-action,filling-action,orbits,structure}\n                       ...\nseifert-actions: error: argument verb: invalid choice: 'frobnicate' (choose from 'validate', 'normalize', 'equiv', 'euler', 'glue-pair', 'orbifold-chi', 'orbit-numbers', 'check-obstruction', 'decompose', 'rewrite', 'verify-action', 'boundary-action', 'filling-action', 'orbits', 'structure')\n"),
     'usage/version': (0, 'seifert-actions 0.1.0\n', ''),
     'validate/empty': (0, 'ok\n', ''),
-    'validate/malformed': (2, '', "error: bad pair at position 0 of '(0,o1|(3,2)'\n"),
+    'validate/malformed': (2, '', "error: not a presentation: '(0,o1|(3,2)'\n"),
     'validate/negative': (3, 'genus must be nonnegative, got -1\npair 1: (4,2) not coprime (gcd=2)\npair 2: q must be >= 1, got 0\n', ''),
     'validate/ok': (0, 'ok\n', ''),
     'verify-action/alpha': (2, '', 'error: {dir}/alpha.action:4: alpha must be +1 or -1\n'),

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 from random import Random
 
@@ -224,14 +225,32 @@ def test_parse_rejects_garbage():
     for bad in ["", "(0,o1", "(0,o2|)", "(0,o1|(3,2)(3,2))", "(x,o1|)", "(0,o1|(3,))"]:
         with pytest.raises(PresentationError):
             parse_presentation(bad)
-    # integers are ASCII digits after an optional '-'
-    for bad in ["(٠,o1|(٣,٢))", "(0,o1|(+3,2))", "(0,o1|(3,1_0))", "(+0,o1|)"]:
-        with pytest.raises(PresentationError, match=re.escape(repr(bad))):
+    # integers are ASCII digits after an optional '-'; whitespace separates
+    # tokens but never splits an integer or `o1`
+    split = ["(1 3,2)", "(3, 2 1)", "(3,- 2)"]
+    for bad in [
+        "(٠,o1|(٣,٢))", "(0,o1|(+3,2))", "(0,o1|(3,1_0))", "(+0,o1|)",
+        "(0,o 1|(3,2))", "(1 2, o1 | (3,2))", *(f"(0, o1 | (3,2), {pair})" for pair in split),
+    ]:
+        with pytest.raises(PresentationError, match=re.escape(f"not a presentation: {bad!r}")):
             parse_presentation(bad)
-    for bad in ["(٣,٢)", "(3,+2)", "(3_0,1)"]:
+    for bad in ["(٣,٢)", "(3,+2)", "(3_0,1)", *split]:
         with pytest.raises(PresentationError, match=re.escape(f"not a Seifert pair: {bad!r}")):
             parse_pair(bad)
 
 
 def test_parse_is_whitespace_insensitive():
     assert pres(" ( 0 , o1 | (3, 2) , ( 1 , 2 ) ) ") == pres("(0,o1|(3,2),(1,2))")
+
+
+def test_malformed_presentation_is_rejected_in_linear_time():
+    spaces = " " * 100_000
+    for bad in ["(0,o1|" + spaces + "x)", "(0,o1|(3,2)" + spaces + "x)", "(" + spaces + "x"]:
+        start = time.perf_counter()
+        with pytest.raises(PresentationError):
+            parse_presentation(bad)
+        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(PresentationError):
+        parse_pair("(" + spaces + "3" + spaces + "," + spaces + "x)")
+    assert time.perf_counter() - start < 1
