@@ -107,11 +107,9 @@ def _cmd_orbit_numbers(args) -> tuple:
 
 
 def _cmd_check_obstruction(args) -> tuple:
-    obstruction = lib.obstruction
     orb = lib.orbifold.parse_orbifold(args.orbifold)
-    divisor = obstruction.obstruction_divisor(args.order, orb)
-    satisfied = obstruction.satisfies_obstruction_divisibility(args.b, args.order, orb)
-    status, verdict = _decide(satisfied, "satisfied", "not satisfied")
+    divisor = lib.obstruction.obstruction_divisor(args.order, orb)
+    status, verdict = _decide(args.b % divisor == 0, "satisfied", "not satisfied")
     return status, ("divisor", divisor), verdict
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rational import INT, InputError, Value, parse_int, parse_int_list
+from .rational import INT, InputError, Value, _ints, parse_int_list
 
 __all__ = [
     "OrbifoldData",
@@ -128,7 +128,7 @@ def parse_orbifold(text: str) -> OrbifoldData:
     m = _ORBIFOLD_RE.fullmatch(text.strip())
     if m is None:
         raise QuotientDataError(message)
-    genus = parse_int(m.group(1), QuotientDataError, message)
+    (genus,) = _ints((m.group(1),), QuotientDataError, message)
     cones = _parse_order_list(m.group(2))
     corners = _parse_order_list(m.group(3))
     return OrbifoldData(genus, cones, corners, with_boundary=bool(corners))

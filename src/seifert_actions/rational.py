@@ -3,6 +3,7 @@
 Everything downstream (presentation sums, torus phases, obstruction
 witnesses) is exact; no floating point is used anywhere.  Sums of many
 angles go through `residues`: ints mod the angles' common denominator.
+Text formats build lists with `_token_list` and convert tokens with `_ints`.
 """
 
 from __future__ import annotations
@@ -29,15 +30,18 @@ __all__ = [
 
 INT = "-?[0-9]+"
 """The integer token of every text format: ASCII digits after an optional
-'-'.  Format regexes embed it; `parse_int` and `parse_int_list` read it."""
+'-'.  Regexes embed it, alone or in a `_token_list`; `_ints` converts it."""
+
+
+def _token_list(item: str, sep: str | None) -> str:
+    """A blank list or `item`s joined by `sep`, or by whitespace when None.  The
+    trailing whitespace sits in the optional part, so a failed match is linear."""
+    join = r"\s+" if sep is None else rf"\s*{sep}\s*"
+    return rf"\s*(?:{item}(?:{join}{item})*\s*)?"
+
 
 _INT_RE = re.compile(INT)
-# A list is empty or tokens joined by its separator: a comma with optional
-# whitespace around it, or (sep None, as in table rows) whitespace alone.
-_INT_LIST_RES = {
-    ",": re.compile(rf"\s*(?:{INT}(?:\s*,\s*{INT})*)?\s*"),
-    None: re.compile(rf"\s*(?:{INT}(?:\s+{INT})*)?\s*"),
-}
+_INT_LIST_RES = {sep: re.compile(_token_list(INT, sep)) for sep in (",", None)}
 # a fraction is an integer, optionally over an unsigned one
 _FRACTION_RE = re.compile(rf"({INT})(?:/(?!-)({INT}))?")
 

@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .rational import INT, InputError, Value, parse_int
+from .rational import INT, InputError, Value, _ints, _token_list
 
 __all__ = [
     "GluingPair",
@@ -273,14 +273,10 @@ def induced_fibration(gp: GluingPair) -> tuple[int, int]:
     return (-gp.attached_pair.q, gp.y)
 
 
-# Whitespace may separate tokens but never splits one.  In the presentation no
-# two whitespace runs flank its optional pair list, so a failed match
-# backtracks in time linear in the text.
+# whitespace may separate tokens but never splits one
 _PAIR = rf"\(\s*({INT})\s*,\s*({INT})\s*\)"
 _PAIR_RE = re.compile(_PAIR)
-_PRESENTATION_RE = re.compile(
-    rf"\(\s*({INT})\s*,\s*o1\s*\|((?:\s*{_PAIR}(?:\s*,\s*{_PAIR})*)?)\s*\)"
-)
+_PRESENTATION_RE = re.compile(rf"\(\s*({INT})\s*,\s*o1\s*\|({_token_list(_PAIR, ',')})\)")
 
 
 def parse_pair(text: str) -> SeifertPair:
@@ -289,7 +285,7 @@ def parse_pair(text: str) -> SeifertPair:
     m = _PAIR_RE.fullmatch(text.strip())
     if m is None:
         raise PresentationError(message)
-    return SeifertPair(*(parse_int(t, PresentationError, message) for t in m.groups()))
+    return SeifertPair(*_ints(m.groups(), PresentationError, message))
 
 
 def parse_presentation(text: str) -> SeifertPresentation:
@@ -299,7 +295,7 @@ def parse_presentation(text: str) -> SeifertPresentation:
     if m is None:
         raise PresentationError(message)
     tokens = (m[1], *(t for pair in _PAIR_RE.findall(m[2]) for t in pair))
-    genus, *ints = (parse_int(t, PresentationError, message) for t in tokens)
+    genus, *ints = _ints(tokens, PresentationError, message)
     return SeifertPresentation(genus, tuple(map(SeifertPair, ints[::2], ints[1::2])))
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import PROPERTY
 
+from seifert_actions.cli import main
+from seifert_actions.orbifold import parse_orbifold
 from seifert_actions.rational import (
     ZERO_ANGLE,
     InputError,
@@ -209,3 +212,45 @@ def test_int_list_rejects_tokens_outside_the_grammar(tokens, bad, data):
         text = joiner.join(tokens)
         with pytest.raises(_ListError, match=re.escape(f"bad list: {text!r}")):
             parse_int_list(text, _ListError, f"bad list: {text!r}", sep)
+
+
+PADDED = " " * 40_000 + "x"  # a long whitespace run, then a bad token
+# (call, args, message): every reader of an integer list, in the library and the CLI
+LINEAR_REJECTIONS = [
+    *(
+        pytest.param(parse_int_list, (text, _ListError, "bad list", sep), "bad list",
+                     id=f"{name}-{'comma' if sep else 'space'}")
+        for name, text in [("blank", PADDED), ("item", "2" + PADDED), ("sep", "2," + PADDED)]
+        for sep in (",", None)
+    ),
+    pytest.param(parse_orbifold, (f"genus:0 cone:({PADDED}) corner:()",), "bad order list: 'x'",
+                 id="cone"),
+    pytest.param(parse_orbifold, (f"genus:0 cone:() corner:({PADDED})",), "bad order list: 'x'",
+                 id="corner"),
+    pytest.param(main, (["decompose", "--b", "3", "--orbits", PADDED],),
+                 f"bad orbit list: {PADDED!r}", id="decompose"),
+    pytest.param(main, (["rewrite", "(0,o1|(2,1))", "--h=" + PADDED],),
+                 f"bad h list: {PADDED!r}", id="rewrite-h"),
+    pytest.param(main, (["rewrite", "(0,o1|(2,1))", "--h=0", "--partition", "1;" + PADDED],),
+                 f"bad partition list: {PADDED!r}", id="rewrite-partition"),
+    pytest.param(main, (["orbifold-chi", f"genus:0 cone:({PADDED}) corner:()"],),
+                 "bad order list: 'x'", id="orbifold-chi"),
+    pytest.param(main, (["orbit-numbers", "--order", "6", f"genus:0 cone:() corner:({PADDED})"],),
+                 "bad order list: 'x'", id="orbit-numbers"),
+    pytest.param(main, (["check-obstruction", "--b", "1", "--order", "6",
+                         f"genus:0 cone:({PADDED}) corner:()"],),
+                 "bad order list: 'x'", id="check-obstruction"),
+]
+
+
+@pytest.mark.parametrize("call, args, message", LINEAR_REJECTIONS)
+def test_malformed_list_is_rejected_in_linear_time(capsys, call, args, message):
+    start = time.perf_counter()
+    if call is main:
+        assert main(*args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+    assert time.perf_counter() - start < 1
