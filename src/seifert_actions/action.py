@@ -453,9 +453,9 @@ def parse_action_text(
         if g not in element_lines:
             raise ActionFormatError(f"{source}: missing line for element {g}")
         rows.append(_parse_element(*element_lines[g], len(pairs), angles))
-    extra = set(element_lines) - set(range(group.order))
-    if extra:
-        raise ActionFormatError(f"{source}: element indices out of range: {sorted(extra)}")
+    for g, (where, _) in element_lines.items():
+        if not 0 <= g < group.order:
+            raise ActionFormatError(f"{where}: element {g} out of range 0..{group.order - 1}")
     alpha, theta1, beta, theta2 = zip(*rows)
     return ExtendedActionData(group, pairs, alpha, theta1, beta, theta2)
 

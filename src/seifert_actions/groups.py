@@ -214,18 +214,19 @@ def generated_subgroup(group: FiniteGroup, generators: list[int]) -> frozenset[i
 
 
 def keyed_lines(text: str, source: str, error: type[InputError]):
-    """The line format shared by group and action files.
-
-    One leading byte-order mark (U+FEFF) is dropped, so text reads the
-    same whether the caller decoded it or `read_utf8` did.  Yields (where,
-    key, value) for each line that is neither blank nor a `#` comment,
-    where `where` is `source:lineno`.  A `key: value` line gives its
-    stripped key and value; a line without ':' gives key None and the
-    whole stripped line.  A key already seen on an earlier line raises
-    `error`.
+    r"""The line format shared by group and action files, and the only
+    line splitter: lines end at `\n`, `\r\n` or `\r`, the breaks `open()`
+    translates, so text numbers its lines alike whether the caller decoded
+    it or `read_utf8` did.  Any other character is text (`strip` takes
+    U+2028 or a form feed as whitespace); one leading U+FEFF is dropped.
+    Yields (where, key, value) for each line that is neither blank nor a
+    `#` comment, where `where` is `source:lineno`.  A `key: value` line
+    gives its stripped key and value; a line without ':' gives key None and
+    the whole stripped line.  A key seen on an earlier line raises `error`.
     """
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, raw in enumerate(lines.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -65,11 +65,10 @@ class HFunction(Value):
 
 
 def obstruction_divisor(group_order: int, quotient: OrbifoldData) -> int:
-    """N / lcm(n1,...,nk, 2m1,...,2ml); the lcm of no orders is 1."""
-    orders = list(quotient.cone_orders) + [2 * m for m in quotient.corner_orders]
-    # consistency with the orbit-number preconditions
-    possible_orbit_numbers(group_order, quotient)
-    return group_order // math.lcm(*orders)
+    """N / lcm(n1,...,nk, 2m1,...,2ml), with the stabilizer orders read off
+    `possible_orbit_numbers`: an orbit of o fibers has stabilizer order N // o."""
+    numbers = possible_orbit_numbers(group_order, quotient)
+    return group_order // math.lcm(*(group_order // o for o in numbers))
 
 
 def satisfies_obstruction_divisibility(

@@ -433,6 +433,64 @@ def test_files_with_a_byte_order_mark_read_as_plain_ones(tmp_path):
     assert parse_action_file(tmp_path / "a.action") == data
 
 
+# `str.splitlines` breaks lines at these; the file formats do not
+NOT_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x1c"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_a_comment_holding_a_non_break_reads_as_without_it(tmp_path, char):
+    data = rotation_z3()
+    group_text, action_text = format_group(data.group), format_action(data, "g.txt")
+    comment = f"# note{char}1 2 x\n"
+    (tmp_path / "g.txt").write_text(comment + group_text, encoding="utf-8")
+    (tmp_path / "a.action").write_text(
+        action_text.replace("pairs:", comment + "pairs:"), encoding="utf-8"
+    )
+    assert parse_group_file(tmp_path / "g.txt") == data.group
+    assert parse_action_file(tmp_path / "a.action") == data
+    assert parse_action_text(comment + action_text, base_dir=tmp_path) == data
+
+
+@pytest.mark.parametrize("char", ["\f", "\v"])
+def test_an_error_after_a_form_feed_or_vertical_tab_is_at_its_grep_line(tmp_path, char):
+    data = rotation_z3()
+    group_file, path = tmp_path / "g.txt", tmp_path / "b.action"
+    rows = format_group(data.group).split("\n")
+    rows[1] += char
+    group_file.write_text("\n".join(rows), encoding="utf-8")
+    lines = format_action(data, "g.txt").split("\n")
+    lines[2] += char
+    lines[4] = lines[4].replace("theta1=2/3", "theta1=1/0")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ActionFormatError, match=re.escape(f"{path}:5: bad angle '1/0'")):
+        parse_action_file(path)
+    rows[3] = "2 0 x"
+    group_file.write_text("\n".join(rows), encoding="utf-8")
+    with pytest.raises(ActionFormatError, match=re.escape(f"{group_file}:4: bad table row")):
+        parse_action_file(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_text_and_file_read_alike_under_every_line_ending(tmp_path, ending):
+    data = rotation_z3()
+    (tmp_path / "g.txt").write_text(format_group(data.group), encoding="utf-8")
+    comment = "# " + " x ".join(NOT_LINE_BREAKS + ["\f", "\v"])
+    lines = [comment, *format_action(data, "g.txt").split("\n")]
+    path = tmp_path / "a.action"
+    text = ending.join(lines)
+    path.write_bytes(text.encode())
+    assert parse_action_text(text, base_dir=tmp_path, source=str(path)) == data
+    assert parse_action_file(path) == data
+    lines[4] = lines[4].replace("theta1=1/3", "theta1=1/0")
+    text = ending.join(lines)
+    path.write_bytes(text.encode())
+    with pytest.raises(ActionFormatError) as from_text:
+        parse_action_text(text, base_dir=tmp_path, source=str(path))
+    with pytest.raises(ActionFormatError) as from_file:
+        parse_action_file(path)
+    assert str(from_text.value) == str(from_file.value) == f"{path}:5: bad angle '1/0'"
+
+
 # Large pairwise-coprime denominators put the action's common denominator
 # far above 2**32.
 ANGLES = st.builds(
@@ -514,6 +572,11 @@ def test_action_parse_errors_cite_lines(tmp_path):
 
     bad = text + "01: alpha=-1 theta1=1/5 beta=(1) theta2=0\n"
     with pytest.raises(ActionFormatError, match=":5: repeated element 1"):
+        parse_action_text(bad, base_dir=tmp_path)
+
+    # an element out of range is reported on the first line, in file order, that has one
+    bad = text + "5: alpha=-1\n2: alpha=+1\n"
+    with pytest.raises(ActionFormatError, match=re.escape(":5: element 5 out of range 0..1")):
         parse_action_text(bad, base_dir=tmp_path)
 
     with pytest.raises(ActionFormatError, match=re.escape(":1: unknown key '\\ufeffgroup'")):

@@ -588,7 +588,7 @@ def test_every_argv_exits_0_2_or_3(tmp_path):
 
 # the characters and words of the action and group file formats
 FILE_TOKENS = [
-    *"0123456789-+/,:()=# \n", "\ufeff", "\0",
+    *"0123456789-+/,:()=# \n\r\x0b\x0c\x1c\x85\u2028", "\ufeff", "\0",
     "group", "pairs", "order", "alpha", "theta1", "beta", "theta2",
 ]
 EDIT = st.tuples(
@@ -645,5 +645,10 @@ def test_every_mutated_file_exits_0_2_or_3(tmp_path):
                 or str(group_file) in message
                 or re.fullmatch(out_of_range, message)
             ), message
+            # each location names a line of its file, as `open()` reads it
+            for path in texts:
+                lines = len(path.read_text(encoding="utf-8").split("\n"))
+                for n in re.findall(rf"{re.escape(str(path))}:(\d+):", message):
+                    assert 1 <= int(n) <= lines, message
 
     check()

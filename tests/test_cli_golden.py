@@ -294,7 +294,7 @@ GOLDEN = {
     'verify-action/beta-law': (3, 'beta is not a homomorphism at (1,1): beta(2)=(2, 0, 1) but composition is (0, 1, 2)\nbeta is not a homomorphism at (1,2): beta(0)=(0, 1, 2) but composition is (1, 0, 2)\nbeta is not a homomorphism at (2,1): beta(0)=(0, 1, 2) but composition is (2, 1, 0)\nbeta is not a homomorphism at (2,2): beta(1)=(0, 2, 1) but composition is (1, 2, 0)\n', ''),
     'verify-action/beta-not-perm': (2, '', 'error: {dir}/beta-not-perm.action:4: beta must be a permutation of 1..3\n'),
     'verify-action/beta-parens': (2, '', 'error: {dir}/beta-parens.action:4: beta must be parenthesized\n'),
-    'verify-action/extra-element': (2, '', 'error: {dir}/extra-element.action: element indices out of range: [7]\n'),
+    'verify-action/extra-element': (2, '', 'error: {dir}/extra-element.action:6: element 7 out of range 0..2\n'),
     'verify-action/group-missing': (2, '', "error: {dir}/group-missing.action:1: [Errno 2] No such file or directory: '{dir}/nowhere.group'\n"),
     'verify-action/group-rows': (2, '', None),
     'verify-action/law': (3, 'theta1 twisted-cocycle law fails at (1,1): theta1(2)=2/3 but law gives 0\ntheta1 twisted-cocycle law fails at (1,2): theta1(0)=0 but law gives 1/6\ntheta1 twisted-cocycle law fails at (2,1): theta1(0)=0 but law gives 1/6\ntheta1 twisted-cocycle law fails at (2,2): theta1(1)=1/2 but law gives 1/3\n', ''),
