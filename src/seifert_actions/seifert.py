@@ -148,43 +148,52 @@ def require_valid(pres: SeifertPresentation) -> None:
         raise PresentationError("; ".join(problems))
 
 
-def normalize(pres: SeifertPresentation | NormalizedPresentation) -> NormalizedPresentation:
-    """Canonical form: each q >= 2 pair reduced to 0 < p < q, carries and
-    q = 1 pairs folded into b, pairs sorted.  A normal form is read through
-    `to_presentation`, so its b is kept and it is validated like any input."""
+def _canonical(pres: SeifertPresentation | NormalizedPresentation) -> tuple:
+    """`normalize` on plain ints: (genus, sorted (q, p) tuples, b).  Int
+    tuples sort as `SeifertPair`s do, so the order is the same."""
     if isinstance(pres, NormalizedPresentation):
         pres = pres.to_presentation()
     require_valid(pres)
     b = 0
     reduced = []
     for pair in pres.pairs:
-        if pair.q == 1:
-            b += pair.p
-        else:
-            carry, p = divmod(pair.p, pair.q)
-            b += carry
-            reduced.append(SeifertPair(pair.q, p))
-    return NormalizedPresentation(pres.genus, tuple(sorted(reduced)), b)
+        carry, p = divmod(pair.p, pair.q)
+        b += carry
+        if pair.q != 1:
+            reduced.append((pair.q, p))
+    return pres.genus, tuple(sorted(reduced)), b
 
 
-def equivalent(a: SeifertPresentation, b: SeifertPresentation) -> bool:
+def normalize(pres: SeifertPresentation | NormalizedPresentation) -> NormalizedPresentation:
+    """Canonical form: each q >= 2 pair reduced to 0 < p < q, carries and
+    q = 1 pairs folded into b, pairs sorted.  A normal form is read through
+    `to_presentation`, so its b is kept and it is validated like any input."""
+    genus, pairs, b = _canonical(pres)
+    return NormalizedPresentation(genus, tuple(SeifertPair(q, p) for q, p in pairs), b)
+
+
+def equivalent(
+    a: SeifertPresentation | NormalizedPresentation, b: SeifertPresentation | NormalizedPresentation
+) -> bool:
     """Fiber-preserving orientation-preserving diffeomorphism test, decided
-    by equality of normalized invariants.  Presentations of different genus
-    are treated as inequivalent."""
-    return normalize(a) == normalize(b)
+    by equality of normalized invariants, compared as plain ints.
+    Presentations of different genus are treated as inequivalent."""
+    return _canonical(a) == _canonical(b)
 
 
-def euler_number(pres: SeifertPresentation) -> Fraction:
-    """Euler number e = -(b + sum p/q), computed on the normalized form.
+def euler_number(pres: SeifertPresentation | NormalizedPresentation) -> Fraction:
+    """Euler number e = -sum p/q over the raw pairs, as one integer sum over
+    the lcm L of their q; it equals -(b + sum p/q) of the normal form.  A
+    normal form is read through `to_presentation`, with its b as (1, b).
 
     Zero exactly when the bundle is covered by the trivial bundle; invariant
     under all moves.
     """
-    norm = normalize(pres)
-    total = Fraction(norm.b)
-    for pair in norm.pairs:
-        total += Fraction(pair.p, pair.q)
-    return -total
+    if isinstance(pres, NormalizedPresentation):
+        pres = pres.to_presentation()
+    require_valid(pres)
+    lcm = math.lcm(*(pair.q for pair in pres.pairs))
+    return Fraction(-sum(pair.p * (lcm // pair.q) for pair in pres.pairs), lcm)
 
 
 def permute(pres: SeifertPresentation, perm: list[int]) -> SeifertPresentation:

@@ -418,7 +418,11 @@ def loaded_modules(*argv):
     (["euler"], (2, BASE)),  # usage error: no presentation
     (["euler", "(0,o1|(3,2))"],
      (0, BASE | {"seifert_actions.rational", "seifert_actions.seifert"})),
-], ids=["help", "usage-error", "euler"])
+    (["normalize", "(0,o1|(3,5),(1,2))"],
+     (0, BASE | {"seifert_actions.rational", "seifert_actions.seifert"})),
+    (["equiv", "(0,o1|(3,5))", "(0,o1|(3,2),(1,1))"],
+     (0, BASE | {"seifert_actions.rational", "seifert_actions.seifert"})),
+], ids=["help", "usage-error", "euler", "normalize", "equiv"])
 def test_verb_loads_only_the_modules_it_needs(argv, expected):
     assert loaded_modules(*argv) == expected
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PROPERTY
@@ -142,6 +142,100 @@ def test_normalize_keeps_the_b_of_a_normal_form():
         assert normalize(n) == n
         assert equivalent(n, p)
         assert euler_number(n) == euler_number(p)
+
+
+# The reference formulas: normalize through sorted `SeifertPair`s, then the
+# Euler number as a `Fraction` sum over the normal form.
+def _pair_normalize(p):
+    if isinstance(p, NormalizedPresentation):
+        p = p.to_presentation()
+    problems = validate(p)
+    if problems:
+        raise PresentationError("; ".join(problems))
+    b, reduced = 0, []
+    for pair in p.pairs:
+        if pair.q == 1:
+            b += pair.p
+        else:
+            carry, r = divmod(pair.p, pair.q)
+            b += carry
+            reduced.append(SeifertPair(pair.q, r))
+    return NormalizedPresentation(p.genus, tuple(sorted(reduced)), b)
+
+
+def _fraction_euler(p):
+    norm = _pair_normalize(p)
+    total = Fraction(norm.b)
+    for pair in norm.pairs:
+        total += Fraction(pair.p, pair.q)
+    return -total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return exc.__class__, str(exc)
+
+
+_INT = st.one_of(st.integers(-4, 12), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def _presentations(draw):
+    genus = draw(st.integers(-1, 3))
+    pairs = tuple(SeifertPair(q, p) for q, p in draw(st.lists(st.tuples(_INT, _INT), max_size=5)))
+    if draw(st.booleans()):
+        return NormalizedPresentation(genus, pairs, draw(_INT))
+    return SeifertPresentation(genus, pairs)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(_presentations(), _presentations(), st.integers(0, 2))
+def test_int_forms_match_the_pair_and_fraction_formulas(a, other, how):
+    # `b` is another presentation, `a` reversed with a (1, 0) added, or the
+    # normal form of `a`, so that `equivalent` also meets equivalent pairs.
+    raw = a.to_presentation() if isinstance(a, NormalizedPresentation) else a
+    b = (
+        other,
+        SeifertPresentation(raw.genus, raw.pairs[::-1] + (SeifertPair(1, 0),)),
+        _outcome(_pair_normalize, a),
+    )[how]
+    if not isinstance(b, (SeifertPresentation, NormalizedPresentation)):
+        b = other  # `a` is invalid, so it has no normal form
+    assert _outcome(normalize, a) == _outcome(_pair_normalize, a)
+    assert _outcome(euler_number, a) == _outcome(_fraction_euler, a)
+    for x, y in ((a, b), (b, a)):
+        expected = _outcome(lambda: _pair_normalize(x) == _pair_normalize(y))
+        assert _outcome(equivalent, x, y) == expected
+
+
+def test_equivalent_and_euler_build_no_pair_and_add_no_fraction(monkeypatch):
+    a = pres("(1,o1|(3,2),(5,-7),(1,4),(4,1))")
+    b = pres("(1,o1|(4,9),(1,0),(3,-1),(5,8))")
+    c = pres("(2,o1|(3,2))")
+    empty = pres("(0,o1|)")
+    bad = pres("(0,o1|(4,2),(0,1))")
+    calls = [
+        lambda: equivalent(a, b),
+        lambda: equivalent(a, c),
+        lambda: euler_number(a),
+        lambda: euler_number(b),
+        lambda: euler_number(empty),
+        lambda: _outcome(equivalent, a, bad),
+        lambda: _outcome(euler_number, bad),
+    ]
+    expected = [call() for call in calls]
+    assert expected[:5] == [True, False, Fraction(-211, 60), Fraction(-211, 60), 0]
+
+    def refuse(*args):
+        raise AssertionError("value objects or Fraction addition in equivalent or euler_number")
+
+    monkeypatch.setattr(SeifertPair, "__init__", refuse)
+    monkeypatch.setattr(NormalizedPresentation, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__add__", refuse)
+    monkeypatch.setattr(Fraction, "__radd__", refuse)
+    assert [call() for call in calls] == expected
 
 
 def test_moves_preserve_equivalence_and_euler_random_suite():
